@@ -516,12 +516,12 @@ class CachedWeightStream:
     aging simulators use, plus :meth:`packed_bits` — the bit-unpacked form of
     the whole stream, built once and shared by every policy evaluation.
 
-    When attached to a :class:`~repro.streamstore.StreamStore` (via the
-    constructor or :meth:`attach_store`), :meth:`packed_bits` first tries to
-    memory-map a previously persisted tensor under ``store_key`` and, on a
-    miss, offers the freshly-built one back to the store — so the expensive
-    bit-unpacking happens once per unique stream across *all* processes, not
-    once per process.
+    When constructed with a :class:`~repro.streamstore.StreamStore` and a
+    ``store_key``, :meth:`packed_bits` offers the freshly-built tensor to the
+    store, so the expensive bit-unpacking happens once per unique stream
+    across *all* processes, not once per process.  The caller
+    (:func:`~repro.experiments.aging_runner.build_workload_stream`) has
+    already looked the key up and missed, so the stream never re-reads it.
     """
 
     def __init__(self, scheduler: WeightStreamScheduler, store: Any = None,
@@ -537,11 +537,6 @@ class CachedWeightStream:
         self._packed: Optional[PackedBitTensor] = None
         self._store = store
         self._store_key = store_key
-
-    def attach_store(self, store: Any, key: str) -> None:
-        """Back :meth:`packed_bits` with a stream-store entry under ``key``."""
-        self._store = store
-        self._store_key = key
 
     @property
     def geometry(self) -> MemoryGeometry:
@@ -570,34 +565,15 @@ class CachedWeightStream:
     def packed_bits(self) -> PackedBitTensor:
         """The whole stream as one :class:`PackedBitTensor` (built lazily once).
 
-        With an attached stream store the tensor is memory-mapped from disk
-        when a matching entry exists; a cold build is offered back to the
-        store (best-effort) so the next process loads instead of rebuilding.
+        With a stream store the build is offered to it (best-effort) so the
+        next process loads instead of rebuilding.
         """
         if self._packed is None:
-            if self._store is not None and self._store_key is not None:
-                loaded = self._store.get(self._store_key)
-                if loaded is not None and self._matches(loaded):
-                    self._packed = loaded
-                    return self._packed
             self._packed = PackedBitTensor.from_stream(self)
             if self._store is not None and self._store_key is not None:
                 self._store.offer(self._store_key, self._packed,
                                   describe=self.describe())
         return self._packed
-
-    def _matches(self, packed: PackedBitTensor) -> bool:
-        """Sanity-check a store-loaded tensor against this schedule's shape.
-
-        Content addressing makes a mismatch all but impossible; this guards
-        against a manifest pointing at the wrong payload (manual tampering,
-        copy errors) so such an entry degrades to a rebuild, not a wrong
-        simulation.
-        """
-        return (packed.num_blocks == self.num_blocks
-                and packed.words_per_block == self.words_per_block
-                and packed.fifo_depth_tiles == self.fifo_depth_tiles
-                and packed.geometry == self.geometry)
 
     def describe(self) -> dict:
         """Description of the underlying schedule."""

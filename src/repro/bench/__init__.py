@@ -1,9 +1,9 @@
 """Performance-regression benchmark harness (``dnn-life bench``).
 
-Times the aging-simulation engines against each other on AlexNet/VGG-class
-weight-memory configurations and writes the machine-readable trajectory file
-``BENCH_aging.json``, so engine-performance regressions show up as data
-instead of anecdotes.
+Times the packed aging engine on AlexNet/VGG-class weight-memory
+configurations, checks it against the explicit write-by-write simulator and
+writes the machine-readable trajectory file ``BENCH_aging.json``, so
+engine-performance regressions show up as data instead of anecdotes.
 """
 
 from repro.bench.aging_bench import (

@@ -26,7 +26,7 @@ Packed weight streams are additionally persisted in the content-addressed
 *stream store* (``<cache dir>/streams`` or ``$DNN_LIFE_STREAM_STORE``) and
 memory-mapped back on later runs — ``--stream-store PATH`` redirects it,
 ``--no-stream-store`` disables it, ``dnn-life cache --streams`` inspects it,
-and ``dnn-life sweep --backend serial|process|dask`` picks the executor the
+and ``dnn-life sweep --backend serial|process`` picks the executor the
 batches fan out on.
 """
 
@@ -45,7 +45,6 @@ from repro.orchestration import (
     ResultCache,
     SweepRunner,
     load_all_experiments,
-    make_executor,
     render_experiment,
     run_experiment,
     split_grid_values,
@@ -152,13 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--backend", type=str, default=None,
                               choices=SWEEP_BACKENDS,
                               help="executor backend: 'process' (default, "
-                                   "single-host pool), 'serial' (inline), or "
-                                   "'dask' (dask.distributed cluster, "
-                                   "requires dask)")
-    sweep_parser.add_argument("--dask-scheduler", type=str, default=None,
-                              metavar="ADDRESS",
-                              help="dask scheduler address for --backend dask "
-                                   "(default: a transient local cluster)")
+                                   "single-host pool) or 'serial' (inline)")
     sweep_parser.add_argument("--base-seed", type=int, default=0,
                               help="base seed for deterministic per-job seeding")
     sweep_parser.add_argument("--full", action="store_true",
@@ -179,23 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
                                    "for DAYS days")
 
     bench_parser = subparsers.add_parser(
-        "bench", help="time the aging engines (blockwise vs packed) and write "
-                      "the BENCH_aging.json perf trajectory")
+        "bench", help="time the packed aging engine, cross-check it against "
+                      "the explicit simulator and write the BENCH_aging.json "
+                      "perf trajectory")
     bench_parser.add_argument("--output", type=str, default=None,
                               metavar="PATH",
                               help="trajectory file (default BENCH_aging.json; "
                                    "'-' skips writing)")
     bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="timing repetitions per engine (best is kept)")
+                              help="timing repetitions per measurement (best is kept)")
     bench_parser.add_argument("--case", dest="cases", action="append", default=[],
                               metavar="NAME",
                               help="run only the named case(s) (repeatable; "
                                    "see repro.bench.default_bench_cases)")
     bench_parser.add_argument("--seed", type=int, default=0,
                               help="stream/policy seed of every case")
-    bench_parser.add_argument("--min-speedup", type=float, default=None,
-                              help="exit non-zero when any case's packed-engine "
-                                   "speedup falls below this factor")
     bench_parser.add_argument("--skip-verify", action="store_true",
                               help="skip the explicit-engine cross-check")
     bench_parser.add_argument("--skip-leveling", action="store_true",
@@ -330,8 +321,7 @@ def _cmd_experiment(args: argparse.Namespace, cache: Optional[ResultCache]) -> A
 def _cmd_sweep(args: argparse.Namespace, cache: Optional[ResultCache]) -> Any:
     grid = _parse_grid(args)
     runner = SweepRunner(cache=cache, max_workers=args.workers,
-                         backend=args.backend,
-                         dask_scheduler=args.dask_scheduler)
+                         backend=args.backend)
     report = runner.run(args.experiment, grid, base_seed=args.base_seed, full=args.full)
 
     failed = f", {report.num_failed} failed" if report.num_failed else ""
@@ -434,11 +424,6 @@ def _cmd_bench(args: argparse.Namespace) -> Tuple[Any, int]:
                   f"bit_identical={store_entry['bit_identical']})",
                   file=sys.stderr)
             exit_code = 1
-    if args.min_speedup is not None and payload["min_speedup"] is not None \
-            and payload["min_speedup"] < args.min_speedup:
-        print(f"dnn-life bench: minimum case speedup {payload['min_speedup']:.2f}x "
-              f"is below the required {args.min_speedup:g}x", file=sys.stderr)
-        exit_code = 1
     return payload, exit_code
 
 
@@ -564,11 +549,6 @@ def _validate_user_input(args: argparse.Namespace) -> None:
         spec.resolve(dict(args.assignments), full=args.full)
     elif args.command == "sweep":
         _parse_grid(args)
-        if args.backend is not None:
-            # probes backend availability: selecting 'dask' without
-            # dask.distributed installed is a one-line usage error
-            make_executor(args.backend, max_workers=args.workers,
-                          dask_scheduler=args.dask_scheduler)
     elif args.command in REGISTRY or args.command in _COMMAND_ALIASES:
         spec, params, full = _subcommand_invocation(args)
         spec.resolve(params, full=full)

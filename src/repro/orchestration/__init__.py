@@ -10,8 +10,8 @@ orchestration layer:
   keyed by (experiment, parameters, code version), so repeated invocations
   and sweeps reuse prior results instead of re-simulating.
 * :mod:`repro.orchestration.sweep` — grid expansion with deterministic
-  per-job seeding and a pluggable executor backend (process pool, serial,
-  optional dask.distributed) over stream-affinity batches.
+  per-job seeding and a pluggable executor backend (process pool or
+  serial) over stream-affinity batches.
 * :mod:`repro.orchestration.runner` — the shared cached execution path.
 
 Example
@@ -37,7 +37,6 @@ from repro.orchestration.runner import ExperimentRun, render_experiment, run_exp
 from repro.orchestration.sweep import (
     SWEEP_BACKENDS,
     BatchOutcome,
-    DaskSweepExecutor,
     ProcessPoolSweepExecutor,
     SerialSweepExecutor,
     SweepJob,
@@ -65,7 +64,6 @@ __all__ = [
     "render_experiment",
     "SWEEP_BACKENDS",
     "BatchOutcome",
-    "DaskSweepExecutor",
     "ProcessPoolSweepExecutor",
     "SerialSweepExecutor",
     "SweepJob",

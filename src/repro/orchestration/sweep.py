@@ -11,16 +11,12 @@ The executor protocol is one method::
     submit_batches(experiment, batches) -> Iterator[BatchOutcome]
 
 where each batch is ``[(job_index, params), ...]`` and outcomes may arrive
-in any order.  Three backends implement it:
+in any order.  Two backends implement it:
 
 * :class:`ProcessPoolSweepExecutor` (default) — the original
   :class:`concurrent.futures.ProcessPoolExecutor` single-host fan-out;
 * :class:`SerialSweepExecutor` — everything inline in the calling process
-  (debugging, coverage, deterministic smoke tests);
-* :class:`DaskSweepExecutor` — ``dask.distributed`` cluster fan-out behind a
-  guarded import (selecting it without dask installed is a one-line usage
-  error, and remote workers fetch shared packed streams from the
-  content-addressed stream store rather than shipping tensors).
+  (debugging, coverage, deterministic smoke tests).
 
 Because every job runs through :func:`repro.orchestration.runner.run_experiment`,
 a sweep job's payload is byte-identical to the payload of a single
@@ -43,15 +39,14 @@ from repro.utils.rng import deterministic_hash_seed
 from repro.utils.serialization import canonical_json
 
 __all__ = ["expand_grid", "split_grid_values", "make_executor", "BatchOutcome",
-           "DaskSweepExecutor", "ProcessPoolSweepExecutor",
-           "SerialSweepExecutor", "SweepJob", "SweepJobResult", "SweepReport",
-           "SweepRunner", "SWEEP_BACKENDS"]
+           "ProcessPoolSweepExecutor", "SerialSweepExecutor", "SweepJob",
+           "SweepJobResult", "SweepReport", "SweepRunner", "SWEEP_BACKENDS"]
 
 #: Environment variable overriding the default worker count.
 MAX_WORKERS_ENV = "DNN_LIFE_MAX_WORKERS"
 
 #: The selectable sweep executor backends.
-SWEEP_BACKENDS = ("process", "serial", "dask")
+SWEEP_BACKENDS = ("process", "serial")
 
 #: Characters a ``--grid`` value list may open with to declare an alternate
 #: axis separator (sed-style), so values containing commas — multi-phase
@@ -337,82 +332,15 @@ class ProcessPoolSweepExecutor:
                                    stream_store=stats)
 
 
-class DaskSweepExecutor:
-    """Fan batches out across a ``dask.distributed`` cluster.
-
-    The import is constructor-guarded: selecting this backend without dask
-    installed raises a :class:`ValueError` the CLI maps to a one-line usage
-    error, and the rest of the library never imports dask.  Workers run the
-    same batch entry point as the process backend; packed streams are not
-    shipped over the wire — each worker resolves them via its own stream
-    store (``DNN_LIFE_STREAM_STORE`` must point at storage shared with the
-    cluster, which is what the content-addressed keys are for).
-    """
-
-    name = "dask"
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 scheduler_address: Optional[str] = None):
-        try:
-            import dask.distributed  # noqa: F401 - availability probe only
-        except ImportError:
-            raise ValueError(
-                "the 'dask' sweep backend requires the dask.distributed "
-                "package, which is not installed")
-        self.max_workers = max_workers
-        self.scheduler_address = scheduler_address
-
-    def _client(self):
-        from dask.distributed import Client
-
-        if self.scheduler_address:
-            return Client(self.scheduler_address)
-        return Client(n_workers=self.max_workers or _default_max_workers(1),
-                      threads_per_worker=1)
-
-    def submit_batches(self, experiment: str, batches: Iterable[JobBatch]
-                       ) -> Iterator[BatchOutcome]:
-        """Yield batch outcomes as the cluster completes them (any order)."""
-        from dask.distributed import as_completed
-
-        batches = list(batches)
-        if not batches:
-            return
-        client = self._client()
-        try:
-            futures = {
-                client.submit(_execute_job_batch_tracked, experiment, batch,
-                              pure=False): batch
-                for batch in batches
-            }
-            for future in as_completed(list(futures)):
-                batch = futures[future]
-                try:
-                    outcomes, stats = future.result()
-                except Exception as error:  # a lost worker fails its batch only
-                    yield BatchOutcome(batch=batch,
-                                       error=f"{type(error).__name__}: {error}")
-                    continue
-                yield BatchOutcome(batch=batch, outcomes=outcomes,
-                                   stream_store=stats)
-        finally:
-            client.close()
-
-
-def make_executor(backend: str = "process", max_workers: Optional[int] = None,
-                  dask_scheduler: Optional[str] = None):
+def make_executor(backend: str = "process", max_workers: Optional[int] = None):
     """Instantiate a sweep executor by backend name.
 
-    Unknown names and unavailable backends raise :class:`ValueError`, which
-    the CLI surfaces as a one-line exit-2 usage error.
+    Unknown names raise :class:`ValueError`.
     """
     if backend == "process":
         return ProcessPoolSweepExecutor(max_workers=max_workers)
     if backend == "serial":
         return SerialSweepExecutor()
-    if backend == "dask":
-        return DaskSweepExecutor(max_workers=max_workers,
-                                 scheduler_address=dask_scheduler)
     known = ", ".join(SWEEP_BACKENDS)
     raise ValueError(f"unknown sweep backend '{backend}'; known backends: {known}")
 
@@ -440,7 +368,7 @@ class SweepRunner:
     cache:
         Result cache shared by all jobs; ``None`` disables caching.
     max_workers:
-        Parallelism of the fan-out (worker processes, dask workers, and the
+        Parallelism of the fan-out (worker processes and the
         affinity-batch splitting target). ``None`` picks a default from the
         CPU count (overridable with ``DNN_LIFE_MAX_WORKERS``); ``1`` with
         the default backend runs every job serially in the calling process.
@@ -449,21 +377,16 @@ class SweepRunner:
     backend:
         Executor backend: one of :data:`SWEEP_BACKENDS` (default
         ``"process"``), or any object implementing ``submit_batches``.
-    dask_scheduler:
-        Scheduler address for the ``dask`` backend (``None`` spins up a
-        local cluster).
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  max_workers: Optional[int] = None,
                  registry: Optional[ExperimentRegistry] = None,
-                 backend: Union[str, Any, None] = None,
-                 dask_scheduler: Optional[str] = None):
+                 backend: Union[str, Any, None] = None):
         self.cache = cache
         self.max_workers = max_workers
         self.registry = registry
         self.backend = backend
-        self.dask_scheduler = dask_scheduler
 
     # -- job construction --------------------------------------------------- #
     def build_jobs(self, experiment: str, grid: Mapping[str, Sequence[Any]],
@@ -565,8 +488,7 @@ class SweepRunner:
         name = backend or "process"
         if name == "process" and (max_workers <= 1 or num_pending == 1):
             name = "serial"
-        return make_executor(name, max_workers=max_workers,
-                             dask_scheduler=self.dask_scheduler)
+        return make_executor(name, max_workers=max_workers)
 
     def _affinity_batches(self, experiment: str, pending: List[SweepJob],
                           max_workers: int) -> List[List[SweepJob]]:

@@ -5,10 +5,10 @@ surface the simulators consume — ``geometry`` / ``words_per_block`` /
 ``fifo_depth_tiles`` / ``num_blocks`` / ``iter_blocks()`` / ``packed_bits()``
 — backed entirely by a memory-mapped :class:`PackedBitTensor`.  The packed
 fast path costs nothing extra (``packed_bits()`` returns the mmap-backed
-tensor directly); the explicit/blockwise cross-check engines get their
+tensor directly); the explicit write-by-write simulator gets its
 :class:`WeightBlock` sequence reconstructed lazily from the stored bits via
 :func:`~repro.quantization.bitops.pack_bits_to_words`, which is the exact
-inverse of the unpacking done at build time — so both engines see the same
+inverse of the unpacking done at build time — so both simulators see the same
 bits whether the stream was built or loaded.
 """
 
@@ -62,7 +62,7 @@ class StoredWeightStream:
         """Reconstruct the block sequence from the stored bits, lazily.
 
         Word values are repacked from the bit tensor with the exact inverse
-        of the build-time unpacking, so the blockwise engines replay the
+        of the build-time unpacking, so the explicit simulator replays the
         stream bit-identically to a freshly-built one.  Layer provenance is
         not persisted; blocks carry a placeholder layer name.
         """

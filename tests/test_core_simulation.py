@@ -211,80 +211,41 @@ class TestSimulationProperties:
         with pytest.raises(ValueError):
             AgingSimulator(tiny_scheduler, NoMitigationPolicy(), num_inferences=0)
 
-    def test_unknown_engine_rejected(self, tiny_scheduler):
-        with pytest.raises(ValueError, match="unknown engine"):
-            AgingSimulator(tiny_scheduler, NoMitigationPolicy(), engine="quantum")
-
 
 class TestPackedEngineEquivalence:
-    """The packed whole-tensor kernels against the per-block engines.
+    """The packed whole-tensor kernels against the explicit simulator.
 
-    Deterministic policies must be *byte-identical* between the packed and
-    blockwise fast engines, and exactly equal to the explicit write-by-write
-    simulator — including FIFO placement and unpadded final blocks (which
-    only the packed fast engine supports).
+    Deterministic policies must be *byte-identical* to the explicit
+    write-by-write replay — across FIFO placement and with padded as well as
+    unpadded final blocks.
     """
 
-    @pytest.mark.parametrize("policy_name",
-                             sorted(DETERMINISTIC_POLICY_FACTORIES))
-    @pytest.mark.parametrize("num_inferences", [1, 2, 5])
-    def test_packed_byte_identical_to_blockwise(self, tiny_scheduler,
-                                                policy_name, num_inferences):
-        stream = CachedWeightStream(tiny_scheduler)
-        packed = AgingSimulator(stream, _deterministic_policy(policy_name, 8),
-                                num_inferences=num_inferences, seed=0,
-                                engine="packed").run()
-        blockwise = AgingSimulator(stream, _deterministic_policy(policy_name, 8),
-                                   num_inferences=num_inferences, seed=0,
-                                   engine="blockwise").run()
-        assert np.array_equal(packed.duty_cycles, blockwise.duty_cycles)
-
-    @pytest.mark.parametrize("policy_name",
-                             sorted(DETERMINISTIC_POLICY_FACTORIES))
-    def test_packed_byte_identical_on_fifo(self, tiny_fifo_scheduler, policy_name):
-        stream = CachedWeightStream(tiny_fifo_scheduler)
-        packed = AgingSimulator(stream, _deterministic_policy(policy_name, 8),
-                                num_inferences=3, seed=0, engine="packed").run()
-        blockwise = AgingSimulator(stream, _deterministic_policy(policy_name, 8),
-                                   num_inferences=3, seed=0,
-                                   engine="blockwise").run()
-        assert np.array_equal(packed.duty_cycles, blockwise.duty_cycles)
-
+    @pytest.mark.parametrize("pad_final_block", [True, False])
     @pytest.mark.parametrize("fifo_depth_tiles", [1, 4])
     @pytest.mark.parametrize("policy_name",
                              sorted(DETERMINISTIC_POLICY_FACTORIES))
     @pytest.mark.parametrize("num_inferences", [1, 2, 5])
-    def test_packed_matches_explicit_with_unpadded_final_block(
-            self, tiny_network, tiny_scheduler, fifo_depth_tiles, policy_name,
-            num_inferences):
+    def test_packed_byte_identical_to_explicit(
+            self, tiny_network, tiny_scheduler, pad_final_block,
+            fifo_depth_tiles, policy_name, num_inferences):
         scheduler = WeightStreamScheduler(
             tiny_network, "int8_symmetric", tiny_scheduler.geometry,
             tiny_scheduler.parallel_filters, fifo_depth_tiles=fifo_depth_tiles,
-            pad_final_block=False)
+            pad_final_block=pad_final_block)
         blocks = list(scheduler.iter_blocks())
-        assert blocks[-1].num_words < scheduler.words_per_block
+        assert (blocks[-1].num_words < scheduler.words_per_block) \
+            == (not pad_final_block)
         stream = CachedWeightStream(scheduler)
         packed = AgingSimulator(stream, _deterministic_policy(policy_name, 8),
-                                num_inferences=num_inferences, seed=0,
-                                engine="packed").run()
+                                num_inferences=num_inferences, seed=0).run()
         explicit = ExplicitAgingSimulator(
             scheduler, _deterministic_policy(policy_name, 8),
             num_inferences=num_inferences).run()
         assert np.array_equal(packed.duty_cycles, explicit.duty_cycles)
 
-    def test_blockwise_engine_rejects_unpadded_blocks(self, tiny_network,
-                                                      tiny_scheduler):
-        scheduler = WeightStreamScheduler(
-            tiny_network, "int8_symmetric", tiny_scheduler.geometry,
-            tiny_scheduler.parallel_filters, pad_final_block=False)
-        simulator = AgingSimulator(scheduler, NoMitigationPolicy(),
-                                   num_inferences=1, engine="blockwise")
-        with pytest.raises(ValueError, match="padded"):
-            simulator.run()
-
     def test_packed_dnn_life_distribution_matches_explicit(self, tiny_scheduler):
         fast = AgingSimulator(tiny_scheduler, DnnLifePolicy(8, seed=11),
-                              num_inferences=30, seed=11, engine="packed").run()
+                              num_inferences=30, seed=11).run()
         explicit = ExplicitAgingSimulator(tiny_scheduler, DnnLifePolicy(8, seed=5),
                                           num_inferences=30).run()
         fast_dev = np.abs(fast.duty_cycles - 0.5).mean()
@@ -294,7 +255,7 @@ class TestPackedEngineEquivalence:
     def test_packed_dnn_life_biased_trbg_distribution(self, tiny_scheduler):
         policy = DnnLifePolicy(8, trbg_bias=0.7, bias_balancing=True, seed=2)
         fast = AgingSimulator(tiny_scheduler, policy, num_inferences=40,
-                              seed=2, engine="packed").run()
+                              seed=2).run()
         reference = ExplicitAgingSimulator(
             tiny_scheduler, DnnLifePolicy(8, trbg_bias=0.7, bias_balancing=True,
                                           seed=13),

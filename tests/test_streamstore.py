@@ -537,6 +537,17 @@ class TestWorkloadStreamIntegration:
         assert packed_content_sha256(second.packed_bits()) == built_sha
         assert store.puts == 1 and store.hits >= 1
 
+    def test_cold_build_looks_the_store_up_once(self, tmp_path,
+                                               tiny_accelerator):
+        """Regression: the cold stream's ``packed_bits`` used to repeat the
+        store lookup ``build_workload_stream`` had just missed, counting
+        two misses per cold build."""
+        store = StreamStore(tmp_path / "streams")
+        stream = self._build(tiny_accelerator, store)
+        stream.packed_bits()
+        assert store.misses == 1
+        assert store.puts == 1 and store.hits == 0
+
     def test_lru_hit_short_circuits_the_store(self, tmp_path, tiny_accelerator):
         store = StreamStore(tmp_path / "streams")
         first = self._build(tiny_accelerator, store)
