@@ -80,13 +80,15 @@ class CalibratedSnmModel(SnmDegradationModel):
     def degradation_percent(self, duty_cycle: np.ndarray,
                             years: float = REFERENCE_LIFETIME_YEARS) -> np.ndarray:
         duty = np.asarray(duty_cycle, dtype=np.float64)
-        if np.any((duty < -1e-9) | (duty > 1.0 + 1e-9)):
+        if duty.size and (duty.min() < -1e-9 or duty.max() > 1.0 + 1e-9):
             raise ValueError("duty-cycle values must lie within [0, 1]")
-        duty = np.clip(duty, 0.0, 1.0)
-        stress = np.maximum(duty, 1.0 - duty)
-        base = self.worst_percent * np.power(stress, self.gamma)
-        time_scale = (years / self.reference_years) ** self.time_exponent
-        return base * time_scale
+        # One output buffer, written in place (1 - d is the only temporary).
+        out = np.clip(duty, 0.0, 1.0, out=np.empty(duty.shape))
+        np.maximum(out, 1.0 - out, out=out)
+        np.power(out, self.gamma, out=out)
+        out *= self.worst_percent
+        out *= (years / self.reference_years) ** self.time_exponent
+        return out
 
     def stress_fraction_for_degradation(self, degradation_percent: float,
                                         years: float = REFERENCE_LIFETIME_YEARS) -> float:

@@ -21,6 +21,7 @@ Example
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
@@ -38,7 +39,7 @@ from repro.nn.network import Network
 from repro.nn.weights import attach_synthetic_weights
 from repro.quantization.bitops import bit_probabilities
 from repro.quantization.formats import DataFormat, get_format
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, as_rng, deterministic_hash_seed
 from repro.utils.tables import AsciiTable
 from repro.utils.validation import check_positive_int
 
@@ -54,6 +55,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
     #: The accelerators sharing the ``build_scheduler`` /
     #: ``weight_memory_energy_model`` duck-typed surface.
     AnyAccelerator = Union[BaselineAccelerator, TpuLikeNpu]
+
+
+def _synthetic_weight_seed(seed: SeedLike) -> int:
+    """Weight seed of a network handed to :class:`DnnLife` without weights.
+
+    Equal seeds give equal weights in every process.  ``None`` maps to 0 and
+    a non-negative integer to ``seed mod (2**61 - 1) mod 2**31`` (the value
+    CPython's integer hash gave it before).  A negative integer goes through
+    :func:`~repro.utils.rng.deterministic_hash_seed`, so -1 and -2 no longer
+    collide.  A ``SeedSequence`` or ``Generator`` seeds one draw from a copy,
+    leaving the caller's generator untouched.
+    """
+    if seed is None:
+        return 0
+    if isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        return int(as_rng(copy.deepcopy(seed)).integers(2**31))
+    value = int(seed)
+    if value < 0:
+        return deterministic_hash_seed(value) % 2**31
+    return value % (2**61 - 1) % 2**31
 
 
 @dataclass
@@ -152,7 +173,7 @@ class DnnLife:
         self.aging_years = aging_years
         self.scenario = scenario
         if not network.has_weights_attached:
-            attach_synthetic_weights(network, seed=0 if seed is None else int(np.abs(hash(seed))) % (2**31))
+            attach_synthetic_weights(network, seed=_synthetic_weight_seed(seed))
 
     # ------------------------------------------------------------------ #
     # Design-time analysis (Sec. III)

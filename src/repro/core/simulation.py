@@ -137,6 +137,10 @@ class AgingResult:
     num_blocks: int
     snm_model: SnmDegradationModel = field(default_factory=default_snm_model)
     years: float = 7.0
+    #: (duty_cycles, years, snm_model, read-only degradation) of the last
+    #: :meth:`snm_degradation` call; reassigning any of the three misses it.
+    _degradation: Optional[Tuple[np.ndarray, float, SnmDegradationModel, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.duty_cycles = np.asarray(self.duty_cycles, dtype=np.float64)
@@ -147,8 +151,20 @@ class AgingResult:
         return int(self.duty_cycles.size)
 
     def snm_degradation(self) -> np.ndarray:
-        """Per-cell SNM degradation (percent) after ``years`` years."""
-        return self.snm_model.degradation_percent(self.duty_cycles.reshape(-1), self.years)
+        """Per-cell SNM degradation (percent) after ``years`` years.
+
+        Computed once and shared by :meth:`summary` and :meth:`histogram`;
+        the returned array is read-only.
+        """
+        cached = self._degradation
+        if (cached is None or cached[0] is not self.duty_cycles
+                or cached[1] is not self.years or cached[2] is not self.snm_model):
+            degradation = self.snm_model.degradation_percent(
+                self.duty_cycles.reshape(-1), self.years)
+            degradation.setflags(write=False)
+            cached = (self.duty_cycles, self.years, self.snm_model, degradation)
+            self._degradation = cached
+        return cached[3]
 
     def histogram(self, bin_edges: Optional[np.ndarray] = None
                   ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
@@ -161,7 +177,8 @@ class AgingResult:
     def duty_cycle_statistics(self) -> Dict[str, float]:
         """Summary statistics of the per-cell duty-cycles."""
         duty = self.duty_cycles.reshape(-1)
-        deviation = np.abs(duty - 0.5)
+        deviation = duty - 0.5
+        np.abs(deviation, out=deviation)
         return {
             "mean": float(duty.mean()),
             "std": float(duty.std()),

@@ -35,7 +35,8 @@ from repro.core.policies import MitigationPolicy
 from repro.core.simulation import AgingSimulator
 from repro.experiments.common import ExperimentScale, reduce_network
 from repro.nn.models import build_model
-from repro.nn.weights import attach_synthetic_weights
+# Kept as a module attribute: perfbench/tracing.py probes it by name.
+from repro.nn.weights import attach_synthetic_weights  # noqa: F401
 from repro.streamstore import (StoredWeightStream, StreamStore,
                                resolve_stream_store, stream_store_key)
 from repro.utils.serialization import canonical_json
@@ -163,8 +164,10 @@ def build_workload_stream(network_name: str, accelerator, data_format: str,
                     _insert_cached(key, stored, capacity)
                 return stored
 
-    network = attach_synthetic_weights(build_model(network_name), seed=seed)
-    network = reduce_network(network, scale.max_weights_per_layer, seed=seed)
+    # Synthesizes only the streamed filters (bit-identical to trimming the
+    # full draw); the full network is drawn only when nothing is capped.
+    network = reduce_network(build_model(network_name),
+                             scale.max_weights_per_layer, seed=seed)
     scheduler = accelerator.build_scheduler(network, data_format)
     stream = CachedWeightStream(scheduler, store=resolved_store,
                                 store_key=store_key)

@@ -10,7 +10,8 @@ import numpy as np
 
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.network import Network
-from repro.nn.weights import attach_synthetic_weights
+from repro.nn.weights import (attach_synthetic_weights, synthesize_layer_weights,
+                              synthetic_layer_rng)
 from repro.utils.validation import check_positive_int
 
 #: Environment variable that switches the benchmarks to full-scale runs.
@@ -67,22 +68,32 @@ def reduce_network(network: Network, max_weights_per_layer: Optional[int],
     which keeps the per-filter structure (and therefore the Fig. 5 dataflow)
     intact.  The resulting network is only used for weight-memory streaming;
     it is not meant to be executed.
+
+    A network without weights is given the synthetic weights of
+    :func:`~repro.nn.weights.attach_synthetic_weights` with ``seed``: in full
+    (attached to ``network``) when there is no cap, otherwise only the kept
+    filters, bit-identical to trimming the full draw, and ``network`` itself
+    stays without weights.
     """
-    if not network.has_weights_attached:
-        attach_synthetic_weights(network, seed=seed)
     if max_weights_per_layer is None:
+        if not network.has_weights_attached:
+            attach_synthetic_weights(network, seed=seed)
         return network
     check_positive_int(max_weights_per_layer, "max_weights_per_layer")
+    synthesize = not network.has_weights_attached
     reduced_layers = []
-    for layer in network.weight_layers():
-        weights = np.asarray(layer.weights)
-        if layer.weight_count <= max_weights_per_layer:
-            clone = _clone_weight_layer(layer, weights)
-        else:
+    for index, layer in enumerate(network.weight_layers()):
+        keep_filters = None
+        if layer.weight_count > max_weights_per_layer:
             per_filter = int(np.prod(layer.weight_shape[1:]))
             keep_filters = max(max_weights_per_layer // per_filter, 1)
-            clone = _clone_weight_layer(layer, weights[:keep_filters], keep_filters)
-        reduced_layers.append(clone)
+        if synthesize:
+            weights = synthesize_layer_weights(
+                layer, synthetic_layer_rng(network, layer, seed),
+                layer_index=index, keep=keep_filters)
+        else:
+            weights = np.asarray(layer.weights)[:keep_filters]
+        reduced_layers.append(_clone_weight_layer(layer, weights, keep_filters))
     reduced = Network(name=f"{network.name}_reduced", layers=reduced_layers,
                       input_shape=network.input_shape, dataset=network.dataset)
     return reduced

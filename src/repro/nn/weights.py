@@ -18,6 +18,28 @@ trained-like* weights instead (see DESIGN.md, "Substitutions"):
 The aging analysis only depends on these distributional properties, not on the
 exact weight values.  Real checkpoints can still be used through
 :func:`load_weights_npz`.
+
+Prefix synthesis.  The experiments stream at most ``max_weights_per_layer``
+weights per layer, i.e. the first ``keep`` output filters of each layer.
+:func:`synthesize_layer_weights` can produce just those filters, and the
+result equals ``full[:keep]`` of the full draw bit for bit, so no stream or
+golden depends on which path built it.  This follows from the generator's
+draw order: ``Generator.normal`` and ``Generator.random`` fill their output
+sequentially, so the first ``n`` values of a size-``N`` draw are a size-``n``
+draw.  After each component's prefix the generator must reach the state the
+full draw leaves behind:
+
+* ``random`` (the outlier mask) takes exactly one 64-bit output per double,
+  so its unused tail is skipped in O(1) with ``bit_generator.advance``;
+* ``normal`` is a ziggurat with occasional rejections, so the number of
+  outputs its tail consumes is not known in advance: the base draw's tail is
+  drawn in bounded chunks and dropped (capping memory at one chunk);
+* the outlier-component ``normal`` is the layer's last weight draw; with a
+  prefix its tail is left undrawn and the generator must not be used
+  afterwards (the reduced networks carry no biases).
+
+With ``keep=None`` every tail is empty and the call is the full draw, leaving
+the generator where the bias draw expects it.
 """
 
 from __future__ import annotations
@@ -76,7 +98,8 @@ DEFAULT_CONFIG = WeightGenerationConfig()
 
 def synthesize_layer_weights(layer: Layer, rng: np.random.Generator,
                              config: WeightGenerationConfig = DEFAULT_CONFIG,
-                             layer_index: int = 0) -> np.ndarray:
+                             layer_index: int = 0,
+                             keep: Optional[int] = None) -> np.ndarray:
     """Generate a trained-like weight tensor for one layer.
 
     Parameters
@@ -88,31 +111,61 @@ def synthesize_layer_weights(layer: Layer, rng: np.random.Generator,
     layer_index:
         Position of the layer in the network; used to alternate the sign of
         the small per-layer mean shift.
+    keep:
+        Number of leading output filters (neurons) to generate; ``None``
+        generates all of them.  The result is bit-identical to the first
+        ``keep`` filters of the full tensor (see the module docstring); with
+        ``keep`` below the filter count ``rng`` is left mid-stream and must
+        not be drawn from again.
     """
     shape = layer.weight_shape
     if shape is None:
         raise ValueError(f"layer '{layer.name}' has no weights")
+    filters = shape[0] if keep is None else keep
+    if not 1 <= filters <= shape[0]:
+        raise ValueError(f"keep must lie in [1, {shape[0]}] for layer "
+                         f"'{layer.name}', got {keep}")
+    prefix = (filters,) + tuple(shape[1:])
+    skipped = int(np.prod(shape)) - int(np.prod(prefix))
     fan_in = max(layer.fan_in, 1)
     sigma = config.gain * np.sqrt(2.0 / fan_in)
 
-    values = rng.normal(0.0, sigma, size=shape)
+    values = rng.normal(0.0, sigma, size=prefix)
+    _discard(rng.standard_normal, skipped)
 
     # Heavy tails: replace a small fraction with wider-Gaussian draws.
     if config.outlier_fraction > 0:
-        outlier_mask = rng.random(shape) < config.outlier_fraction
-        outliers = rng.normal(0.0, sigma * config.outlier_scale, size=shape)
-        values = np.where(outlier_mask, outliers, values)
+        outlier_mask = rng.random(prefix) < config.outlier_fraction
+        if skipped and isinstance(rng.bit_generator, np.random.PCG64):
+            rng.bit_generator.advance(skipped)  # one 64-bit output per double
+        else:
+            _discard(rng.random, skipped)
+        outliers = rng.normal(0.0, sigma * config.outlier_scale, size=prefix)
+        np.copyto(values, outliers, where=outlier_mask)
 
     # Asymmetric tails: stretch the positive side by (1 + skew).
     if config.skew:
-        values = np.where(values > 0, values * (1.0 + config.skew), values)
+        np.multiply(values, 1.0 + config.skew, out=values, where=values > 0)
 
     # Small per-layer mean shift with alternating sign.
     if config.mean_shift_fraction:
         shift_sign = 1.0 if layer_index % 2 == 0 else -1.0
-        values = values + shift_sign * config.mean_shift_fraction * sigma
+        values += shift_sign * config.mean_shift_fraction * sigma
 
     return values.astype(np.float32)
+
+
+#: Values per chunk when a draw's unused tail is generated and dropped.
+_DISCARD_CHUNK = 1 << 18
+
+
+def _discard(draw, count: int) -> None:
+    """Advance a generator past ``count`` float64 draws of ``draw``."""
+    buffer = np.empty(min(count, _DISCARD_CHUNK))
+    while count > 0:
+        step = min(count, buffer.size)
+        draw(out=buffer[:step])
+        count -= step
 
 
 def synthesize_layer_bias(layer: Layer, rng: np.random.Generator,
@@ -136,12 +189,17 @@ def attach_synthetic_weights(network: Network, seed: Optional[int] = 0,
     Returns the same network for chaining.
     """
     for index, layer in enumerate(network.weight_layers()):
-        layer_seed = deterministic_hash_seed(seed, network.name, layer.name)
-        layer_rng = as_rng(layer_seed)
+        layer_rng = synthetic_layer_rng(network, layer, seed)
         layer.weights = synthesize_layer_weights(layer, layer_rng, config, layer_index=index)
         layer.bias = synthesize_layer_bias(layer, layer_rng, config)
     network.validate_weights()
     return network
+
+
+def synthetic_layer_rng(network: Network, layer: Layer,
+                        seed: Optional[int] = 0) -> np.random.Generator:
+    """The generator :func:`attach_synthetic_weights` draws ``layer`` from."""
+    return as_rng(deterministic_hash_seed(seed, network.name, layer.name))
 
 
 def weight_statistics(network: Network) -> Dict[str, Dict[str, float]]:

@@ -66,6 +66,21 @@ class TestCalibratedSnmModel:
         with pytest.raises(ValueError):
             default_snm_model().degradation_percent(np.array([1.2]))
 
+    def test_matches_elementwise_formula_bit_for_bit(self):
+        model = default_snm_model()
+        duty = np.concatenate([np.random.default_rng(0).random(4096),
+                               [0.0, 0.5, 1.0, 0.5 - 2**-54, -1e-10, 1.0 + 1e-10]])
+        before = duty.copy()
+        clipped = np.clip(duty, 0.0, 1.0)
+        stress = np.maximum(clipped, 1.0 - clipped)
+        expected = (model.worst_percent * np.power(stress, model.gamma)
+                    * (3.0 / model.reference_years) ** model.time_exponent)
+        assert np.array_equal(model.degradation_percent(duty, 3.0), expected)
+        assert np.array_equal(duty, before)
+
+    def test_empty_duty(self):
+        assert default_snm_model().degradation_percent(np.empty(0)).shape == (0,)
+
     def test_invalid_calibration_rejected(self):
         with pytest.raises(ValueError):
             CalibratedSnmModel(best_percent=20.0, worst_percent=10.0)

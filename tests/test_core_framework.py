@@ -1,13 +1,19 @@
 """Tests for the DnnLife end-to-end framework and the PolicyComparison report."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.accelerator.tpu import TpuLikeNpu
 from repro.core.framework import DnnLife, PolicyComparison
 from repro.core.policies import DnnLifePolicy, NoMitigationPolicy
 from repro.core.simulation import AgingResult
-from repro.nn.models import custom_mnist_cnn
+from repro.nn.models import custom_mnist_cnn, lenet5
 from repro.nn.weights import attach_synthetic_weights
 
 
@@ -35,6 +41,48 @@ class TestDnnLifeAnalysis:
     def test_weights_attached_automatically(self):
         framework = DnnLife(custom_mnist_cnn(), num_inferences=5, seed=2)
         assert framework.network.has_weights_attached
+
+
+#: Prints one digest per fallback-seed kind of a weightless lenet5.
+FALLBACK_SEED_SUBPROCESS = """
+import hashlib
+import numpy as np
+from repro.core.framework import DnnLife
+from repro.nn.models import lenet5
+for seed in (np.random.SeedSequence(3), np.random.default_rng(3), -1, -2, 7):
+    network = lenet5()
+    DnnLife(network, seed=seed)
+    print(hashlib.sha256(network.flat_weights().tobytes()).hexdigest())
+"""
+
+
+def _fallback_digests():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-c", FALLBACK_SEED_SUBPROCESS],
+                         capture_output=True, text=True, env=env, check=True)
+    return run.stdout.split()
+
+
+class TestFallbackWeightSeed:
+    """Weights DnnLife attaches to a weightless network depend on the seed's value only."""
+
+    def test_same_seed_same_weights_across_processes(self):
+        first, second = _fallback_digests(), _fallback_digests()
+        assert len(first) == 5
+        assert first == second
+        _, _, minus_one, minus_two, seven = first
+        assert minus_one != minus_two
+        expected = attach_synthetic_weights(lenet5(), seed=7).flat_weights()
+        assert seven == hashlib.sha256(expected.tobytes()).hexdigest()
+
+    def test_generator_seed_is_not_consumed(self):
+        generator = np.random.default_rng(11)
+        before = generator.bit_generator.state
+        DnnLife(lenet5(), seed=generator)
+        assert generator.bit_generator.state == before
 
 
 class TestDnnLifeSimulation:

@@ -207,6 +207,20 @@ class TestSimulationProperties:
         degradation = result.snm_degradation()
         assert degradation[0] < degradation[1]
 
+    def test_degradation_shared_between_reports(self):
+        result = AgingResult(policy_name="x", policy_description={},
+                             duty_cycles=np.array([[0.5, 0.25], [0.9, 0.0]]),
+                             num_inferences=1, num_blocks=1)
+        degradation = result.snm_degradation()
+        assert not degradation.flags.writeable
+        result.summary()
+        result.histogram()
+        assert result.snm_degradation() is degradation
+        result.years = 14.0
+        assert np.all(result.snm_degradation() > degradation)
+        result.duty_cycles = np.full((2, 2), 0.5)
+        assert np.all(result.snm_degradation() == result.snm_degradation()[0])
+
     def test_invalid_inference_count(self, tiny_scheduler):
         with pytest.raises(ValueError):
             AgingSimulator(tiny_scheduler, NoMitigationPolicy(), num_inferences=0)

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.common import reduce_network
 from repro.nn.functional import classify, forward
+from repro.nn.layers import Conv2d, Linear
 from repro.nn.models import (
     MODEL_ZOO,
     PUBLISHED_ACCURACY,
@@ -15,6 +19,8 @@ from repro.nn.weights import (
     attach_synthetic_weights,
     load_weights_npz,
     save_weights_npz,
+    synthesize_layer_bias,
+    synthesize_layer_weights,
     weight_statistics,
 )
 
@@ -129,6 +135,102 @@ class TestSyntheticWeights:
         np.savez_compressed(path, **{"conv1.weight": np.zeros((16, 1, 5, 5), np.float32)})
         with pytest.raises(KeyError):
             load_weights_npz(custom_mnist_cnn(), path)
+
+
+def _reference_weights(layer, rng, config, layer_index):
+    """The generator's original three-full-draw formulation, kept as an oracle."""
+    shape = layer.weight_shape
+    sigma = config.gain * np.sqrt(2.0 / max(layer.fan_in, 1))
+    values = rng.normal(0.0, sigma, size=shape)
+    if config.outlier_fraction > 0:
+        outlier_mask = rng.random(shape) < config.outlier_fraction
+        outliers = rng.normal(0.0, sigma * config.outlier_scale, size=shape)
+        values = np.where(outlier_mask, outliers, values)
+    if config.skew:
+        values = np.where(values > 0, values * (1.0 + config.skew), values)
+    if config.mean_shift_fraction:
+        shift_sign = 1.0 if layer_index % 2 == 0 else -1.0
+        values = values + shift_sign * config.mean_shift_fraction * sigma
+    return values.astype(np.float32)
+
+
+_CONFIGS = [
+    WeightGenerationConfig(),
+    WeightGenerationConfig(outlier_fraction=0.0),
+    WeightGenerationConfig(skew=0.0),
+    WeightGenerationConfig(mean_shift_fraction=0.0),
+    WeightGenerationConfig(outlier_fraction=0.3, skew=0.0, mean_shift_fraction=0.0),
+]
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
+
+
+@st.composite
+def _layers(draw):
+    out = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        kernel = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        return Conv2d(name="c", out_channels=out, in_channels=draw(st.integers(1, 8)),
+                      kernel_size=kernel)
+    return Linear(name="fc", out_features=out, in_features=draw(st.integers(1, 64)))
+
+
+class TestPrefixSynthesis:
+    """Synthesizing the first ``keep`` filters equals trimming the full draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(layer=_layers(), keep_fraction=st.floats(0.0, 1.0),
+           config=st.sampled_from(_CONFIGS), bit_generator=st.sampled_from(_BIT_GENERATORS),
+           seed=st.integers(0, 2**32 - 1), layer_index=st.integers(0, 3))
+    def test_prefix_equals_full_slice(self, layer, keep_fraction, config, bit_generator,
+                                      seed, layer_index):
+        out = layer.weight_shape[0]
+        keep = 1 + int(keep_fraction * (out - 1))
+
+        def rng():
+            return np.random.Generator(bit_generator(seed))
+
+        full_rng = rng()
+        full = synthesize_layer_weights(layer, full_rng, config, layer_index=layer_index)
+        prefix = synthesize_layer_weights(layer, rng(), config, layer_index=layer_index,
+                                          keep=keep)
+        assert prefix.shape == (keep,) + layer.weight_shape[1:]
+        assert np.array_equal(prefix, full[:keep])
+
+        # keep=None is the original full draw and leaves the generator where
+        # the original left it: the bias drawn next is unchanged.
+        reference_rng = rng()
+        assert np.array_equal(full, _reference_weights(layer, reference_rng, config,
+                                                       layer_index))
+        assert np.array_equal(synthesize_layer_bias(layer, full_rng, config),
+                              synthesize_layer_bias(layer, reference_rng, config))
+
+    @pytest.mark.parametrize("keep", [0, 5])
+    def test_keep_out_of_range_rejected(self, keep):
+        layer = Linear(name="fc", out_features=4, in_features=3)
+        with pytest.raises(ValueError, match="keep must lie in"):
+            synthesize_layer_weights(layer, np.random.default_rng(0), keep=keep)
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.slow)
+        if name in ("alexnet", "vgg16", "resnet152") else name
+        for name in sorted(MODEL_ZOO)])
+    def test_reduce_network_matches_two_step_path(self, name):
+        full = attach_synthetic_weights(build_model(name), seed=4)
+        for cap in (1, 10_000, 1_000_000, None):
+            expected = reduce_network(full, cap, seed=4)
+            streamed = reduce_network(build_model(name), cap, seed=4)
+            pairs = list(zip(expected.weight_layers(), streamed.weight_layers()))
+            assert len(pairs) == len(full.weight_layers())
+            for want, got in pairs:
+                assert got.weight_shape == want.weight_shape
+                assert np.array_equal(got.weights, want.weights), (name, cap, got.name)
+
+    def test_capped_reduce_leaves_input_without_weights(self):
+        network = custom_mnist_cnn()
+        reduced = reduce_network(network, 1000, seed=0)
+        assert reduced.has_weights_attached
+        assert not network.has_weights_attached
 
 
 class TestFunctionalForward:
