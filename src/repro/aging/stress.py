@@ -42,7 +42,7 @@ corner and the exact legacy weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,6 +75,7 @@ __all__ = [
     "DEFAULT_REFERENCE_FREQUENCY_GHZ",
     "DEFAULT_VOLTAGE_ACCELERATION_PER_V",
     "aggregate_stress",
+    "blend_duties",
     "scaling_for_model",
 ]
 
@@ -236,10 +237,29 @@ def aggregate_stress(phases: Sequence[PhaseStress],
     effective_years = float(sum(weights))
     if not effective_years > 0:  # also rejects NaN
         raise ValueError("effective stress-time must be positive")
-    effective_duty = (weights[0] / effective_years) * phases[0].duty
-    for weight, phase in zip(weights[1:], phases[1:]):
-        effective_duty = effective_duty + (weight / effective_years) * phase.duty
-    return effective_duty, effective_years
+    return blend_duties([phase.duty for phase in phases], weights,
+                        effective_years), effective_years
+
+
+def blend_duties(duties: Sequence[np.ndarray],
+                 weights: Sequence[Union[float, np.ndarray]],
+                 total: Union[float, np.ndarray]) -> np.ndarray:
+    """The weighted duty blend ``sum_i (weights[i] / total) * duties[i]``.
+
+    The one implementation of the effective-duty mean: accumulated phase by
+    phase as ``(w0/W) * d0``, then ``+ (wi/W) * di``, so every caller gets
+    the same elementwise ops in the same association order.
+    :func:`aggregate_stress` passes scalar weights; the fleet passes
+    ``(devices, 1)`` weight columns and ``total`` against flat ``(cells,)``
+    duties and gets a ``(devices, cells)`` grid whose row ``i`` is bitwise
+    the scalar blend at device ``i``'s weights.
+    """
+    blend = (weights[0] / total) * duties[0]
+    term = np.empty_like(blend)
+    for weight, duty in zip(weights[1:], duties[1:]):
+        np.multiply(weight / total, duty, out=term)
+        blend += term
+    return blend
 
 
 @dataclass

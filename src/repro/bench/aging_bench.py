@@ -31,7 +31,7 @@ from repro.core.simulation import AgingSimulator, ExplicitAgingSimulator
 from repro.experiments.aging_runner import build_workload_stream
 from repro.experiments.common import ExperimentScale
 from repro.memory.geometry import MemoryGeometry
-from repro.quantization.bitops import random_words
+from repro.quantization.bitops import pack_bits_to_words
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.units import KB
 from repro.utils.validation import check_positive_int
@@ -60,6 +60,10 @@ class SyntheticWeightStream:
     (the paper's 64-bit-word accountings) without quantizing a real network:
     the words are random with a DNN-like bit bias, the block structure and
     region placement mirror :class:`~repro.accelerator.scheduler.WeightStreamScheduler`.
+    The bits are drawn block by block straight into the stream's
+    :class:`PackedBitTensor` (MSB first, the draws of
+    :func:`~repro.quantization.bitops.random_words` in the same order);
+    :meth:`iter_blocks` repacks each block's words from it.
     """
 
     def __init__(self, geometry: MemoryGeometry, num_blocks: int,
@@ -72,10 +76,14 @@ class SyntheticWeightStream:
                              f"{fifo_depth_tiles} FIFO tiles")
         check_positive_int(num_blocks, "num_blocks")
         rng = as_rng(seed)
-        words = random_words(rng, num_blocks * self.words_per_block,
-                             geometry.word_bits, probability_of_one)
-        self._words = words.reshape(num_blocks, self.words_per_block)
-        self._packed: Optional[PackedBitTensor] = None
+        bits = np.empty((num_blocks, self.words_per_block, geometry.word_bits),
+                        dtype=np.uint8)
+        for block in bits:
+            np.less(rng.random(block.shape), probability_of_one, out=block)
+        self._packed = PackedBitTensor(
+            bits, regions=np.arange(num_blocks) % self.fifo_depth_tiles,
+            valid_words=np.full(num_blocks, self.words_per_block),
+            geometry=geometry, fifo_depth_tiles=self.fifo_depth_tiles)
 
     @property
     def words_per_block(self) -> int:
@@ -85,19 +93,20 @@ class SyntheticWeightStream:
     @property
     def num_blocks(self) -> int:
         """Blocks streamed per inference."""
-        return int(self._words.shape[0])
+        return self._packed.num_blocks
 
     def iter_blocks(self):
         """Yield the synthetic blocks with round-robin region placement."""
-        for index in range(self.num_blocks):
-            yield WeightBlock(index=index, words=self._words[index],
-                              region=index % self.fifo_depth_tiles,
+        packed = self._packed
+        for index in range(packed.num_blocks):
+            yield WeightBlock(index=index,
+                              words=pack_bits_to_words(packed.bits[index],
+                                                       packed.word_bits),
+                              region=int(packed.regions[index]),
                               layer_names=("synthetic",))
 
     def packed_bits(self) -> PackedBitTensor:
-        """The stream's packed bit tensor (built lazily once)."""
-        if self._packed is None:
-            self._packed = PackedBitTensor.from_stream(self)
+        """The stream's packed bit tensor."""
         return self._packed
 
     def describe(self) -> dict:
@@ -109,7 +118,7 @@ class SyntheticWeightStream:
             "memory_rows": self.geometry.rows,
             "words_per_block": self.words_per_block,
             "fifo_depth_tiles": self.fifo_depth_tiles,
-            "total_weight_words": int(self._words.size),
+            "total_weight_words": self._packed.total_words,
             "num_blocks_per_inference": self.num_blocks,
         }
 

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from repro.accelerator.baseline import BaselineAccelerator
+from repro.accelerator.scheduler import CachedWeightStream
 from repro.aging.snm import SnmDegradationModel, default_degradation_bins, default_snm_model
 from repro.core.policies import (
     MitigationPolicy,
@@ -44,7 +45,7 @@ from repro.utils.tables import AsciiTable
 from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
-    from repro.accelerator.scheduler import WeightStreamScheduler
+    from repro.accelerator.scheduler import StreamLike, WeightStreamScheduler
     from repro.accelerator.tpu import TpuLikeNpu
     from repro.experiments.common import ExperimentScale
     from repro.leveling.remap import WearLeveler
@@ -217,10 +218,14 @@ class DnnLife:
                     "phases carry their own mitigation policies — call "
                     "simulate_scenario() or drop the policy argument")
             return self.simulate_scenario().effective
-        resolved = self._resolve_policy(policy, **policy_kwargs)
+        return self._simulate_stream(self.build_scheduler(),
+                                     self._resolve_policy(policy, **policy_kwargs))
+
+    def _simulate_stream(self, stream: "StreamLike",
+                         policy: MitigationPolicy) -> AgingResult:
         simulator = AgingSimulator(
-            scheduler=self.build_scheduler(),
-            policy=resolved,
+            scheduler=stream,
+            policy=policy,
             num_inferences=self.num_inferences,
             seed=self.seed,
             snm_model=self.snm_model,
@@ -235,7 +240,8 @@ class DnnLife:
 
         Policy comparison is a single-workload analysis; a
         scenario-configured framework is rejected up front (its phases carry
-        their own policies, so there is no one workload to compare on).
+        their own policies, so there is no one workload to compare on).  The
+        workload is quantized and packed once and shared by every policy.
         """
         if self.scenario is not None:
             raise ValueError(
@@ -246,10 +252,11 @@ class DnnLife:
         if policies is None:
             policies = default_policy_suite(self.data_format.word_bits, seed=self.seed)
         comparison = PolicyComparison(workload=self.describe())
+        stream = CachedWeightStream(self.build_scheduler())
         for entry in policies:
             resolved = self._resolve_policy(entry)
-            result = self.simulate(resolved)
-            comparison.add(resolved.display_name, result)
+            comparison.add(resolved.display_name,
+                           self._simulate_stream(stream, resolved))
         return comparison
 
     def simulate_scenario(self, scenario: Optional["LifetimeScenario"] = None,

@@ -22,17 +22,24 @@ scenario engine's math:
 :class:`FleetSimulator` therefore groups the sampled devices of a
 :class:`~repro.fleet.spec.FleetSpec` into ``(scenario, seed-group)``
 cohorts sharing one base run and one process-wide packed stream cache, and
-vectorizes the device axis of the stress aggregation: per-phase
-``(device, phase)`` grids of temperatures, voltages and wall-clock shares
-collapse through :meth:`~repro.aging.stress.ArrheniusTimeScaling.time_factor_array`
-into per-device effective ``(duty, years)`` pairs, evaluated chunk-wise
-against the SNM model.  Every reduction that feeds a comparison against the
-single-device engine accumulates **sequentially over phases in the same
-association order** as the scalar code, so a device sampled at the
-reference corner with zero offsets reproduces the scenario engine's numbers
-bit for bit — the property the equivalence test battery pins.
+vectorizes the device axis: per-phase ``(device, phase)`` grids of
+temperatures, voltages and wall-clock shares collapse through
+:meth:`~repro.aging.stress.ArrheniusTimeScaling.time_factor_array` into
+per-device stress weights.  The fleet keeps no physics of its own.  The
+duty blend is :func:`repro.aging.stress.blend_duties` (the one
+:func:`~repro.aging.stress.aggregate_stress` runs), fed ``(devices, 1)``
+weight columns, and idle retention is
+:meth:`RetentionModel.failure_probability
+<repro.scenario.operating_point.RetentionModel.failure_probability>` on a
+``(devices, cells)`` grid, which evaluates each device's SNM anchors
+through the model's own scalar methods.  Every reduction accumulates
+sequentially over phases in the scalar code's association order, so a
+device sampled at the reference corner with zero offsets reproduces the
+scenario engine's numbers bit for bit — the property the equivalence test
+battery pins.
 
-Failure-time composition (shared with the per-device reference path through
+Failure-time composition (one function, :func:`_compose_failure_times`,
+shared with the per-device reference path
 :func:`failure_times_from_scenario_result`):
 
 * **SNM wear-out** — the scenario-mix lifetime of
@@ -53,15 +60,13 @@ failure-mode attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.aging.lifetime import LifetimeEstimator
-from repro.aging.nbti import BOLTZMANN_EV
 from repro.aging.snm import (
     REFERENCE_LIFETIME_YEARS,
-    CalibratedSnmModel,
     SnmDegradationModel,
     default_snm_model,
 )
@@ -69,6 +74,7 @@ from repro.aging.stress import (
     DEFAULT_REFERENCE_FREQUENCY_GHZ,
     ArrheniusTimeScaling,
     PhaseStress,
+    blend_duties,
     scaling_for_model,
 )
 from repro.fleet.spec import FleetSample, FleetSpec
@@ -94,6 +100,10 @@ __all__ = [
 
 #: Quantile levels reported by default (p1 ... p99 of the failure times).
 DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+
+#: Devices whose ``(devices, cells)`` grids are evaluated at once; bounds the
+#: cohort math's working set to a few such grids.
+DEVICE_CHUNK = 64
 
 
 class _RecordingScenarioSimulator(ScenarioAgingSimulator):
@@ -129,28 +139,49 @@ def failure_times_from_scenario_result(
     This is the single-device reference path of the fleet engine — the
     equivalence tests and the bench's per-device loop both run a plain
     :class:`~repro.scenario.driver.ScenarioAgingSimulator` per device and
-    compose failure times through this function, so "fleet == N independent
-    scenario runs" is a statement about one shared formula.
+    compose failure times through :func:`_compose_failure_times`, the
+    function :meth:`FleetSimulator.run` composes its devices with.
     """
     check_positive(usage, "usage")
     estimator = LifetimeEstimator(snm_model=result.effective.snm_model,
                                   max_degradation_percent=max_degradation_percent,
                                   reference_years=reference_years)
     snm_years = estimator.memory_lifetime_years_phases(
-        result.phase_stress, scaling=result.scaling) / usage
+        result.phase_stress, scaling=result.scaling)
     flips = 0.0
     for entry in (result.phase_retention or []):
         if entry is not None:
             flips = flips + float(entry["expected_bit_flips"])
-    retention_years = (result.wall_years / (flips * usage) if flips > 0
-                       else float("inf"))
-    failure_years = min(snm_years, retention_years)
+    snm, retention, failure, mode = _compose_failure_times(
+        snm_years, result.wall_years, flips, usage)
     return {
-        "snm_years": float(snm_years),
-        "retention_years": float(retention_years),
-        "failure_years": float(failure_years),
-        "mode": "retention" if retention_years < snm_years else "snm",
+        "snm_years": float(snm),
+        "retention_years": float(retention),
+        "failure_years": float(failure),
+        "mode": str(mode),
     }
+
+
+def _compose_failure_times(snm_years: Union[float, np.ndarray],
+                           wall_years: Union[float, np.ndarray],
+                           flips: Union[float, np.ndarray],
+                           usage: Union[float, np.ndarray]
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(snm_years, retention_years, failure_years, mode)`` per device.
+
+    ``snm_years`` is the wear-out lifetime at unit usage and ``flips`` the
+    expected retention bit flips per timeline pass; both mechanisms scale
+    with the device's ``usage``.  Flips are a Poisson process over passes,
+    so the expected time to the first one is ``wall_years / (flips *
+    usage)`` (infinite without flips).  A device fails at the earlier
+    mechanism, which is its mode.  Scalars and arrays broadcast alike.
+    """
+    snm = np.asarray(snm_years, dtype=np.float64) / usage
+    flips = np.asarray(flips, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        retention = np.where(flips > 0, wall_years / (flips * usage), np.inf)
+    return (snm, retention, np.minimum(snm, retention),
+            np.where(retention < snm, "retention", "snm"))
 
 
 def _finite_to_payload(values: np.ndarray) -> List[Optional[float]]:
@@ -294,8 +325,7 @@ class FleetSimulator:
                  scaling: Optional[ArrheniusTimeScaling] = None,
                  retention_model: Optional[RetentionModel] = None,
                  max_degradation_percent: float = 15.0,
-                 reference_years: float = REFERENCE_LIFETIME_YEARS,
-                 device_chunk: int = 64):
+                 reference_years: float = REFERENCE_LIFETIME_YEARS):
         self.spec = spec
         self.snm_model = snm_model or default_snm_model()
         self.leveler = leveler
@@ -307,7 +337,6 @@ class FleetSimulator:
             float(max_degradation_percent), "max_degradation_percent")
         self.reference_years = check_positive(float(reference_years),
                                               "reference_years")
-        self.device_chunk = check_positive_int(device_chunk, "device_chunk")
         self.scenarios = spec.build_scenarios()
 
     def _default_scaling(self) -> ArrheniusTimeScaling:
@@ -360,7 +389,8 @@ class FleetSimulator:
         sample = self.spec.sample()
         devices = sample.num_devices
         snm_years = np.full(devices, np.nan)
-        retention_years = np.full(devices, np.nan)
+        wall_years = np.full(devices, np.nan)
+        flips = np.zeros(devices)
 
         cohort_keys = sorted(set(zip(sample.scenario_index.tolist(),
                                      sample.seed_group.tolist())))
@@ -375,10 +405,9 @@ class FleetSimulator:
             result = engine.run()
             members = np.nonzero((sample.scenario_index == scenario_index)
                                  & (sample.seed_group == group))[0]
-            cohort_snm, cohort_retention = self._evaluate_cohort(
+            snm_years[members], flips[members] = self._evaluate_cohort(
                 scenario, result, engine.recorded_idles, sample, members)
-            snm_years[members] = cohort_snm
-            retention_years[members] = cohort_retention
+            wall_years[members] = result.wall_years
             cohorts.append({
                 "scenario_index": int(scenario_index),
                 "seed_group": int(group),
@@ -388,8 +417,8 @@ class FleetSimulator:
                 "effective": result.effective.to_payload(),
             })
 
-        failure_years = np.minimum(snm_years, retention_years)
-        modes = np.where(retention_years < snm_years, "retention", "snm")
+        snm_years, retention_years, failure_years, modes = _compose_failure_times(
+            snm_years, wall_years, flips, sample.usage)
         return FleetResult(
             spec=self.spec,
             sample=sample,
@@ -411,14 +440,14 @@ class FleetSimulator:
                          recorded_idles: List[Tuple[int, np.ndarray]],
                          sample: FleetSample,
                          members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-device (snm_years, retention_years) of one cohort's members.
+        """Per-device (unit-usage SNM years, retention flips) of one cohort.
 
         Builds the ``(device, phase)`` corner grid, folds it through the
         vectorized time scaling into per-device stress weights, and blends
-        the cohort's shared duty arrays into per-device effective stress —
-        accumulating over phases in exactly
-        :func:`repro.aging.stress.aggregate_stress`'s association order, so
-        a reference-corner device reproduces the scalar path bit for bit.
+        the cohort's shared duty arrays into per-device effective stress
+        through :func:`repro.aging.stress.blend_duties`, the blend
+        :func:`~repro.aging.stress.aggregate_stress` uses, so a
+        reference-corner device reproduces the scalar path bit for bit.
         """
         spec = self.spec
         phases = scenario.phases
@@ -426,7 +455,6 @@ class FleetSimulator:
         count = members.size
         corner = np.asarray(spec.corners, dtype=np.float64)[sample.corner_index[members]]
         offset = sample.temperature_offset_c[members]
-        usage = sample.usage[members]
 
         # (device, phase) grids: explicit @V:F points override the corner.
         voltage = np.empty((count, num_phases))
@@ -455,24 +483,23 @@ class FleetSimulator:
         years = spec.years * (shares / total[:, None])
 
         # Stress weights (aggregate_stress, device axis): phase years times
-        # the Arrhenius/voltage time factor at the device's corner.
+        # the Arrhenius/voltage time factor at the device's corner.  Per phase,
+        # a ``(devices, 1)`` column broadcasts against the flat cell duties.
         factors = self.scaling.time_factor_array(temperature, voltage)
         weights = years * factors
-        effective_years = weights[:, 0].copy()
-        wall_years = years[:, 0].copy()
-        for index in range(1, num_phases):
-            effective_years = effective_years + weights[:, index]
-            wall_years = wall_years + years[:, index]
-        acceleration = effective_years / wall_years
-
+        columns = weights.T[:, :, None]
+        stressed = np.cumsum(weights, axis=1)
+        wall_years = np.cumsum(years, axis=1)[:, -1]
+        acceleration = stressed[:, -1] / wall_years
         duties = [stress.duty.reshape(-1) for stress in result.phase_stress]
         time_exponent = float(getattr(self.snm_model, "time_exponent", 1.0 / 6.0))
 
         snm_years = np.empty(count)
-        for start in range(0, count, self.device_chunk):
-            chunk = slice(start, min(start + self.device_chunk, count))
-            blend = self._blend(duties, weights[chunk], effective_years[chunk],
-                                num_phases)
+        flips = np.zeros(count)
+        for start in range(0, count, DEVICE_CHUNK):
+            chunk = slice(start, min(start + DEVICE_CHUNK, count))
+            blend = blend_duties(duties, columns[:, chunk],
+                                 stressed[chunk, -1, None])
             # The memory's lifetime is its most-aged cell's; degradation is
             # monotone in the stress fraction max(d, 1-d), so only each
             # device's max-stress cell needs the power law (clip commutes
@@ -484,131 +511,17 @@ class FleetSimulator:
             with np.errstate(divide="ignore"):
                 ratio = self.max_degradation_percent / worst
                 base = self.reference_years * np.power(ratio, 1.0 / time_exponent)
-            snm_years[chunk] = base / acceleration[chunk] / usage[chunk]
+            snm_years[chunk] = base / acceleration[chunk]
 
-        retention_years = self._retention_years(
-            scenario, result, recorded_idles, sample, members,
-            voltage, temperature, years, weights, usage)
-        return snm_years, retention_years
-
-    def _blend(self, duties: List[np.ndarray], weights: np.ndarray,
-               effective_years: np.ndarray, num_phases: int) -> np.ndarray:
-        """Per-device effective duty over the first ``num_phases`` phases.
-
-        The sequential accumulation mirrors ``aggregate_stress`` exactly:
-        ``eff = (w0/W) * d0`` then ``eff = eff + (wi/W) * di``.
-        """
-        coefficient = weights[:, 0] / effective_years
-        blend = coefficient[:, None] * duties[0][None, :]
-        for index in range(1, num_phases):
-            coefficient = weights[:, index] / effective_years
-            blend = blend + coefficient[:, None] * duties[index][None, :]
-        return blend
-
-    def _retention_years(self, scenario: LifetimeScenario,
-                         result: ScenarioResult,
-                         recorded_idles: List[Tuple[int, np.ndarray]],
-                         sample: FleetSample, members: np.ndarray,
-                         voltage: np.ndarray, temperature: np.ndarray,
-                         years: np.ndarray, weights: np.ndarray,
-                         usage: np.ndarray) -> np.ndarray:
-        """Expected wall-clock years to the first retention flip, per device.
-
-        Each recorded idle phase is re-evaluated at every device's corner:
-        the stress accumulated through the end of the idle window (the
-        prefix of the weight matrix) and the phase's per-device idle span
-        feed :meth:`_batched_flips` — a device-batched transliteration of
-        :meth:`RetentionModel.failure_probability` — so a reference-corner
-        device reproduces the scenario's ``expected_bit_flips`` bit for bit.
-        """
-        count = members.size
-        flips = np.zeros(count)
-        if recorded_idles:
-            duties = [stress.duty for stress in result.phase_stress]
+            # Idle retention: each recorded idle phase re-evaluated at every
+            # device's corner, against the stress accumulated through the
+            # end of the idle window — the scenario report's call, per device.
             for position, held in recorded_idles:
                 prefix = position + 1
-                stressed = weights[:, 0].copy()
-                for index in range(1, prefix):
-                    stressed = stressed + weights[:, index]
-                flat = [duty.reshape(-1) for duty in duties[:prefix]]
-                for start in range(0, count, self.device_chunk):
-                    chunk = slice(start, min(start + self.device_chunk, count))
-                    blend = self._blend(flat, weights[chunk], stressed[chunk],
-                                        prefix)
-                    flips[chunk] = flips[chunk] + self._batched_flips(
-                        held.reshape(-1), blend, stressed[chunk],
-                        voltage[chunk, position], temperature[chunk, position],
-                        years[chunk, position])
-        with np.errstate(divide="ignore"):
-            return np.where(flips > 0, result.wall_years / (flips * usage), np.inf)
-
-    def _batched_flips(self, held: np.ndarray, blend: np.ndarray,
-                       stressed: np.ndarray, voltage: np.ndarray,
-                       temperature: np.ndarray,
-                       idle_years: np.ndarray) -> np.ndarray:
-        """Expected bit flips of one idle phase for a chunk of devices.
-
-        A device-batched transliteration of
-        :meth:`RetentionModel.failure_probability` followed by the scenario
-        report's ``nansum``: the per-cell elementwise operations run in the
-        same sequence over ``(device, cell)`` grids (IEEE elementwise ops
-        broadcast bit-identically), the per-device scalars (one-sided
-        degradation anchors, thermal factor) are computed through the exact
-        scalar calls, and cells whose hold-probability is *exactly* 0 on a
-        side are skipped — their term is an exact IEEE ``0 * finite = 0``,
-        the additive identity — which for deterministic policies (held
-        values 0/1) halves the transcendental work.  Cells never written
-        (NaN held value) contribute NaN in the scalar path, which ``nansum``
-        ignores; here they are simply excluded from both sides.
-        """
-        model = self.retention_model
-        count = blend.shape[0]
-        if isinstance(self.snm_model, CalibratedSnmModel):
-            # Vectorized one-sided anchors: worst_case_percent(y) is exactly
-            # worst_percent * (y/ref)**te (np.power(1.0, gamma) == 1.0), and
-            # best_case_percent shares the time scale — same elementwise ops
-            # as the scalar methods, without their per-call array plumbing.
-            snm = self.snm_model
-            time_scale = np.power(stressed / snm.reference_years,
-                                  snm.time_exponent)
-            worst = snm.worst_percent * time_scale
-            best = (snm.worst_percent * np.power(0.5, snm.gamma)) * time_scale
-        else:
-            worst = np.empty(count)
-            best = np.empty(count)
-            for index in range(count):
-                worst[index] = self.snm_model.worst_case_percent(
-                    float(stressed[index]))
-                best[index] = self.snm_model.best_case_percent(
-                    float(stressed[index]))
-        # RetentionModel._thermal_factor, device axis.
-        kelvin = temperature + 273.15
-        reference_kelvin = model.reference_temperature_c + 273.15
-        thermal = np.exp((model.activation_energy_ev / BOLTZMANN_EV)
-                         * (1.0 / reference_kelvin - 1.0 / kelvin))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = np.where(worst > best, np.log2(worst / best), 1.0)
-        margin_offset = voltage - model.retention_voltage_v
-        finite = np.isfinite(held)
-        probability = np.zeros_like(blend)
-        for value_probability, side_stress in ((held, blend),
-                                               ((1.0 - held), 1.0 - blend)):
-            columns = np.nonzero(finite & (value_probability != 0.0))[0]
-            if not columns.size:
-                continue
-            stress = side_stress[:, columns]
-            with np.errstate(invalid="ignore"):
-                degradation = worst[:, None] * np.power(
-                    np.clip(stress, 0.0, 1.0), gamma[:, None])
-            margin = margin_offset[:, None] - (model.margin_loss_v_per_percent
-                                               * degradation)
-            with np.errstate(over="ignore", invalid="ignore"):
-                rate = model.attempts_per_year * np.exp(-margin
-                                                        / model.voltage_scale_v)
-                rate = rate * thermal[:, None]
-                probability[:, columns] += value_probability[None, columns] * (
-                    1.0 - np.exp(-rate * idle_years[:, None]))
-        # The scalar path clips the summed sides and nansums the full cell
-        # array; zeros standing in for the NaN (never-written) cells sum
-        # identically to the NaNs nansum would discard.
-        return np.nansum(np.clip(probability, 0.0, 1.0), axis=1)
+                blend = blend_duties(duties[:prefix], columns[:prefix, chunk],
+                                     stressed[chunk, position, None])
+                flips[chunk] += np.nansum(self.retention_model.failure_probability(
+                    held.reshape(-1), blend, self.snm_model,
+                    stressed[chunk, position], voltage[chunk, position],
+                    temperature[chunk, position], years[chunk, position]), axis=1)
+        return snm_years, flips

@@ -31,7 +31,7 @@ their PR-4 results bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -220,71 +220,84 @@ class RetentionModel:
         check_temperature_celsius(self.reference_temperature_c,
                                   "reference_temperature_c")
 
-    def _thermal_factor(self, temperature_c: float) -> float:
-        kelvin = check_temperature_celsius(temperature_c) + 273.15
+    def _thermal_factor(self, temperature_c: float, name: str) -> float:
+        kelvin = check_temperature_celsius(temperature_c, name) + 273.15
         reference = self.reference_temperature_c + 273.15
         return float(np.exp((self.activation_energy_ev / BOLTZMANN_EV)
                             * (1.0 / reference - 1.0 / kelvin)))
 
-    @staticmethod
-    def _side_degradation(snm_model: "SnmDegradationModel",
-                          stress_fraction: np.ndarray,
-                          years: float) -> np.ndarray:
-        """One-sided SNM degradation of the inverter stressed at ``stress_fraction``.
-
-        Derived model-agnostically from the model's two anchors: the
-        symmetric model reports ``worst * max(d, 1-d) ** gamma``; the side
-        holding the value degrades as ``worst * s ** gamma`` where ``s`` is
-        *that* side's lifetime stress duty (for
-        :class:`~repro.aging.snm.CalibratedSnmModel` this is exactly its
-        internal power law, one-sided).
-        """
-        worst = snm_model.worst_case_percent(years)
-        best = snm_model.best_case_percent(years)
-        gamma = float(np.log2(worst / best)) if worst > best else 1.0
-        with np.errstate(invalid="ignore"):
-            return worst * np.power(np.clip(stress_fraction, 0.0, 1.0), gamma)
-
-    def failure_rate_per_year(self, degradation_percent: np.ndarray,
-                              voltage_v: float,
-                              temperature_c: float) -> np.ndarray:
-        """Per-cell upset rate (1/year) at the idle corner."""
-        check_positive_finite(voltage_v, "voltage_v")
-        margin = ((voltage_v - self.retention_voltage_v)
-                  - self.margin_loss_v_per_percent
-                  * np.asarray(degradation_percent, dtype=np.float64))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rate = self.attempts_per_year * np.exp(-margin / self.voltage_scale_v)
-        return rate * self._thermal_factor(temperature_c)
-
     def failure_probability(self, held_one_probability: np.ndarray,
                             duty: np.ndarray, snm_model: "SnmDegradationModel",
-                            stressed_years: float,
-                            voltage_v: float, temperature_c: float,
-                            idle_years: float) -> np.ndarray:
+                            stressed_years: Union[float, np.ndarray],
+                            voltage_v: Union[float, np.ndarray],
+                            temperature_c: Union[float, np.ndarray],
+                            idle_years: Union[float, np.ndarray]) -> np.ndarray:
         """Per-cell probability of losing the held value during the idle phase.
 
         ``held_one_probability`` is the probability each cell holds a '1'
         entering the phase — exactly 0/1 for deterministic policies, the
         TRBG expectation for the stochastic one, NaN for never-written
-        cells (propagated so aggregations stay NaN-aware).  ``duty`` and
-        ``stressed_years`` describe the stress accumulated *before* the
-        phase ends (the margin the cells actually have at that point of the
-        lifetime).
+        cells (NaN comes back at exactly those cells, so aggregations stay
+        NaN-aware).  ``duty`` and ``stressed_years`` describe the stress
+        accumulated *before* the phase ends (the margin the cells actually
+        have at that point of the lifetime).
+
+        Shapes: with scalar ``stressed_years`` / ``voltage_v`` /
+        ``temperature_c`` / ``idle_years`` (one device), ``duty`` and
+        ``held_one_probability`` share one cell shape.  With ``(devices,)``
+        arrays for those four (a fleet cohort), ``duty`` is a ``(devices,
+        cells)`` grid, ``held_one_probability`` the cohort's shared
+        ``(cells,)`` map, and the result is ``(devices, cells)``; row ``i``
+        is bitwise the one-device call with row ``i``'s arguments.
+
+        Each device's input checks, thermal factor and one-sided SNM
+        anchors go through scalar calls, the anchors through the model's
+        own :meth:`~repro.aging.snm.SnmDegradationModel.worst_case_percent`
+        / ``best_case_percent``: the symmetric model reports ``worst *
+        max(d, 1-d) ** gamma``, and the side holding the value degrades as
+        ``worst * s ** gamma`` where ``s`` is *that* side's stress duty.  A
+        side whose hold-probability is *exactly* 0 is skipped at that cell:
+        its term would be an exact IEEE ``0 * finite = 0``, the additive
+        identity, so for deterministic policies (held values 0/1) this
+        halves the transcendental work without changing a bit.
         """
         held = np.asarray(held_one_probability, dtype=np.float64)
         duty = np.asarray(duty, dtype=np.float64)
-        check_positive(idle_years, "idle_years")
-        probability = np.zeros_like(held)
+        stressed = np.asarray(stressed_years, dtype=np.float64)
+        devices = stressed.shape
+        voltage, temperature, idle = (
+            np.broadcast_to(np.asarray(value, dtype=np.float64), devices)
+            for value in (voltage_v, temperature_c, idle_years))
+        worst, gamma, headroom, thermal = (np.empty(devices) for _ in range(4))
+        for index in np.ndindex(devices):
+            suffix = f"[{index[0]}]" if index else ""
+            check_positive(float(idle[index]), "idle_years" + suffix)
+            headroom[index] = (check_positive_finite(voltage[index], "voltage_v" + suffix)
+                               - self.retention_voltage_v)
+            thermal[index] = self._thermal_factor(float(temperature[index]),
+                                                  "temperature_c" + suffix)
+            worst[index] = snm_model.worst_case_percent(float(stressed[index]))
+            best = snm_model.best_case_percent(float(stressed[index]))
+            gamma[index] = (float(np.log2(worst[index] / best))
+                            if worst[index] > best else 1.0)
+        column = devices + (1,)
+        worst, gamma, headroom, thermal, idle = (
+            value.reshape(column) for value in (worst, gamma, headroom, thermal, idle))
+        finite = np.isfinite(held)
+        probability = np.zeros(np.broadcast_shapes(held.shape, duty.shape))
         for value_probability, side_stress in ((held, duty),
-                                               ((1.0 - held), 1.0 - duty)):
-            degradation = self._side_degradation(snm_model, side_stress,
-                                                 stressed_years)
-            rate = self.failure_rate_per_year(degradation, voltage_v,
-                                              temperature_c)
+                                               (1.0 - held, 1.0 - duty)):
+            held_side = finite & (value_probability != 0.0)  # dnn-lint: disable=DL006
+            cells = (Ellipsis,) + np.nonzero(held_side)
             with np.errstate(over="ignore", invalid="ignore"):
-                probability = probability + value_probability * (
-                    1.0 - np.exp(-rate * idle_years))
+                degradation = worst * np.power(
+                    np.clip(side_stress[cells], 0.0, 1.0), gamma)
+                margin = headroom - self.margin_loss_v_per_percent * degradation
+                rate = (self.attempts_per_year
+                        * np.exp(-margin / self.voltage_scale_v) * thermal)
+                probability[cells] += value_probability[cells[1:]] * (
+                    1.0 - np.exp(-rate * idle))
+        probability[..., ~finite] = np.nan
         return np.clip(probability, 0.0, 1.0)
 
     def describe(self) -> Dict[str, float]:

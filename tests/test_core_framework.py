@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.accelerator.scheduler import PackedBitTensor
 from repro.accelerator.tpu import TpuLikeNpu
 from repro.core.framework import DnnLife, PolicyComparison
-from repro.core.policies import DnnLifePolicy, NoMitigationPolicy
+from repro.core.policies import (
+    DnnLifePolicy,
+    NoMitigationPolicy,
+    default_policy_suite,
+)
 from repro.core.simulation import AgingResult
 from repro.nn.models import custom_mnist_cnn, lenet5
 from repro.nn.weights import attach_synthetic_weights
@@ -112,6 +117,26 @@ class TestDnnLifeSimulation:
         comparison = mnist_framework.compare_policies()
         assert len(comparison.labels()) == 6
         assert "DNN-Life" in comparison.best_policy()
+
+    def test_compare_policies_packs_the_workload_once(self, mnist_framework,
+                                                      monkeypatch):
+        expected = {}
+        for policy in default_policy_suite(mnist_framework.data_format.word_bits,
+                                           seed=mnist_framework.seed):
+            expected[policy.display_name] = mnist_framework.simulate(policy).summary()
+        packs = []
+        from_stream = PackedBitTensor.from_stream.__func__
+
+        def counting_from_stream(cls, stream):
+            packs.append(stream)
+            return from_stream(cls, stream)
+
+        monkeypatch.setattr(PackedBitTensor, "from_stream",
+                            classmethod(counting_from_stream))
+        comparison = mnist_framework.compare_policies()
+        assert len(packs) == 1
+        assert {label: result.summary()
+                for label, result in comparison.results.items()} == expected
 
     def test_compare_policies_custom_list(self, mnist_framework):
         comparison = mnist_framework.compare_policies(["none", "dnn_life"])

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 import repro
 from repro.accelerator.baseline import BaselineAccelerator
 from repro.accelerator.config import baseline_config
+from repro.aging.nbti import ReactionDiffusionSnmModel
 from repro.experiments.common import ExperimentScale
 from repro.fleet import (
     DEFAULT_QUANTILES,
@@ -63,6 +64,14 @@ SINGLE_SPEC = ("custom_mnist:int8:inversion:4@85C,"
 #: computed from a direct ScenarioAgingSimulator run at this PR's HEAD; the
 #: size-1 fleet cohort must reproduce it byte for byte.
 GOLDEN_SINGLE_SHA = "e6a8532b6b861fe75c0a0cbe3a178c17cfd2b131a5b116829161babea9c674ae"
+
+#: A timeline whose idle stress-time hits a value where vectorized
+#: ``np.power`` SNM anchors differ from the scalar model's by one ulp — a
+#: fleet that does not evaluate anchors through the model's own scalar
+#: methods drifts from the scenario reference in ``retention_years``.
+ANCHOR_ULP_SPEC = ("custom_mnist:int8:inversion:8@85C,"
+                   "idle:4@45C@0.7V:0.2GHz,"
+                   "lenet5:int8:none:3@45C")
 
 
 def small_factory(memory_kb=4, fifo_depth_tiles=4, seed=0):
@@ -151,11 +160,13 @@ class TestSingleDeviceEquivalence:
         """Degenerate distributions at the reference corner: exact equality."""
         spec = FleetSpec(
             num_devices=6,
-            scenarios=(SINGLE_SPEC, "lenet5:int8:barrel_shifter:5@85C,idle:2@45C"),
+            scenarios=(SINGLE_SPEC, "lenet5:int8:barrel_shifter:5@85C,idle:2@45C",
+                       ANCHOR_ULP_SPEC),
             seed_groups=2, seed=3)
         fleet = FleetSimulator(spec, stream_factory=factory)
         result = fleet.run()
         sample = result.sample
+        assert set(sample.scenario_index.tolist()) == {0, 1, 2}
         assert np.all(sample.usage == 1.0)
         assert np.all(sample.temperature_offset_c == 0.0)
         for device in range(spec.num_devices):
@@ -195,6 +206,27 @@ class TestSingleDeviceEquivalence:
         for device in range(spec.num_devices):
             reference = reference_failure_times(fleet, result.sample, device)
             assert_times_close(result, device, reference, rtol=1e-9)
+
+    def test_reaction_diffusion_cohort_matches_independent_runs(self, factory):
+        """A non-calibrated SNM model's anchors through low-voltage idles."""
+        spec = FleetSpec(
+            num_devices=8,
+            scenarios=("custom_mnist:int8:inversion:4@85C,idle:2@45C@0.65V:0.2GHz",
+                       "lenet5:int8:dnn_life:3@60C,idle:2@25C@0.6V:0.1GHz,"
+                       "custom_mnist:int8:none:2@85C"),
+            corners=((0.9, 1.0), (0.8, 0.5)),
+            seed_groups=2, seed=13)
+        fleet = FleetSimulator(spec, stream_factory=factory,
+                               snm_model=ReactionDiffusionSnmModel())
+        result = fleet.run()
+        sample = result.sample
+        at_reference = sample.corner_index == 0
+        assert at_reference.any() and not at_reference.all()
+        assert np.all(np.isfinite(result.retention_years))
+        for device in range(spec.num_devices):
+            reference = reference_failure_times(fleet, sample, device)
+            assert_times_close(result, device, reference,
+                               rtol=0.0 if at_reference[device] else 1e-9)
 
     def test_cohort_count_and_membership(self, factory):
         spec = FleetSpec(num_devices=16,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.accelerator.scheduler import (
     CachedWeightStream,
+    PackedBitTensor,
     WeightStreamScheduler,
     stream_to_trace,
 )
@@ -318,8 +319,11 @@ class TestWearSwapEffect:
         stream = SyntheticWeightStream(geometry, num_blocks=6, fifo_depth_tiles=2,
                                        seed=0, probability_of_one=0.8)
         # Make region 0's blocks much denser than region 1's.
-        stream._words[1::2] = 0
-        stream._packed = None
+        packed = stream.packed_bits()
+        bits = packed.bits.copy()
+        bits[1::2] = 0
+        stream._packed = PackedBitTensor(bits, packed.regions, packed.valid_words,
+                                         geometry, packed.fifo_depth_tiles)
         baseline = AgingSimulator(stream, make_policy("none", 8),
                                   num_inferences=16, seed=0).run()
         leveled = AgingSimulator(

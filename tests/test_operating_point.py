@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aging.nbti import ReactionDiffusionSnmModel
 from repro.aging.snm import default_snm_model
 from repro.aging.stress import (
     DEFAULT_REFERENCE_FREQUENCY_GHZ,
@@ -226,6 +227,80 @@ class TestRetentionModel:
         import json
 
         json.dumps(self.MODEL.describe())
+
+
+@st.composite
+def retention_grids(draw):
+    """A ``(devices, cells)`` retention call: held values in {0, 1, p, NaN}."""
+    devices = draw(st.integers(1, 4))
+    cells = draw(st.integers(1, 12))
+    unit = st.floats(0.0, 1.0)
+    held = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, np.nan]), unit),
+                         min_size=cells, max_size=cells))
+    duty = draw(st.lists(unit, min_size=devices * cells,
+                         max_size=devices * cells))
+
+    def per_device(low, high):
+        return np.asarray(draw(st.lists(st.floats(low, high), min_size=devices,
+                                        max_size=devices)))
+
+    return {
+        "held": np.asarray(held),
+        "duty": np.asarray(duty).reshape(devices, cells),
+        "snm": draw(st.sampled_from([default_snm_model(),
+                                     ReactionDiffusionSnmModel()])),
+        "stressed": per_device(0.01, 20.0),
+        "voltage": per_device(0.5, 1.0),
+        "temperature": per_device(-40.0, 125.0),
+        "idle": per_device(0.001, 5.0),
+    }
+
+
+def _batched_probability(grid, **overrides):
+    args = dict(grid, **overrides)
+    return RetentionModel().failure_probability(
+        args["held"], args["duty"], args["snm"], args["stressed"],
+        args["voltage"], args["temperature"], args["idle"])
+
+
+class TestBatchedRetentionProperties:
+    """The device-batched call is the one-device call, row by row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(retention_grids())
+    def test_rows_are_bitwise_scalar_calls(self, grid):
+        batched = _batched_probability(grid)
+        assert batched.shape == grid["duty"].shape
+        for row in range(batched.shape[0]):
+            scalar = RetentionModel().failure_probability(
+                grid["held"], grid["duty"][row], grid["snm"],
+                float(grid["stressed"][row]), float(grid["voltage"][row]),
+                float(grid["temperature"][row]), float(grid["idle"][row]))
+            assert batched[row].tobytes() == scalar.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(retention_grids())
+    def test_nan_exactly_at_never_written_cells_and_unit_range(self, grid):
+        batched = _batched_probability(grid)
+        never_written = np.broadcast_to(np.isnan(grid["held"]), batched.shape)
+        assert np.array_equal(np.isnan(batched), never_written)
+        finite = batched[~never_written]
+        assert np.all((finite >= 0.0) & (finite <= 1.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(retention_grids(),
+           st.sampled_from([("voltage", 0.0), ("voltage", -0.7),
+                            ("voltage", np.nan), ("voltage", np.inf),
+                            ("temperature", -300.0), ("temperature", np.nan),
+                            ("idle", 0.0), ("idle", -1.0), ("idle", np.nan)]),
+           st.data())
+    def test_bad_array_entries_raise_one_line_errors(self, grid, bad, data):
+        name, value = bad
+        column = grid[name].copy()
+        column[data.draw(st.integers(0, column.size - 1))] = value
+        with pytest.raises(ValueError) as excinfo:
+            _batched_probability(grid, **{name: column})
+        assert "\n" not in str(excinfo.value)
 
 
 # --------------------------------------------------------------------------- #
