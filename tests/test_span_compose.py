@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import repro.core.span_compose as span_compose
 from repro.bench.aging_bench import BenchCase, _policy_for
+from repro.core.policies import make_policy
 from repro.core.simulation import AgingSimulator, PackedSpanKernel
 from repro.leveling import (
     make_leveler,
@@ -32,6 +33,7 @@ from repro.leveling import (
 )
 from repro.leveling.remap import _check_span_tiling
 from repro.memory.geometry import MemoryGeometry
+from repro.scenario import LifetimeScenario, Phase, ScenarioAgingSimulator
 from repro.utils.units import KB
 
 # --------------------------------------------------------------------------- #
@@ -228,6 +230,40 @@ GOLDEN_300SPAN_SHA = \
     "b16239ce36e41360083e4dd4ca2c7ac74a5ec79d69f8dad474b8f10126bd2774"
 
 
+#: sha256 of the leveled packed payload of each DNN-Life run on the 8 KB
+#: golden case, captured on the per-span loop engine: the TRBG draws come
+#: out of the simulator's RNG span by span in call order, so these pin the
+#: draw sequence as well as the composition.  ``dnn_life`` is the registry
+#: default (bias 0.5, balancing on); ``dnn_life_0.7`` a biased TRBG with
+#: bias balancing, which takes the per-phase-count binomial branch.
+GOLDEN_DNN_LIFE_8KB_SHAS = {
+    ("dnn_life", "rotation"):
+        "0410001e6493a5c7f7872dfa58bcbc1ba415a0be65407fb9ad3270af50c67776",
+    ("dnn_life", "start_gap"):
+        "df703541eec583b39e982c27f7b0cc0470c05a4add161c62529873f2b3581236",
+    ("dnn_life", "wear_swap"):
+        "92a3c0b19964de0df1a344ba90e6b2e41f99dfa52a41aaa3a39f9ca90c7d913c",
+    ("dnn_life_0.7", "rotation"):
+        "d6cd2b9ab80a66338da121594182808e1574e3c75c9a54aab47dd35bb9fe19ef",
+    ("dnn_life_0.7", "start_gap"):
+        "dd75617d98f51877c1bc30206d72afa545df8f937a8b9e6cfd39abcc9252cf7c",
+    ("dnn_life_0.7", "wear_swap"):
+        "3533269d40fc629defb18a691895c7780071b25d6911f780769939dba7f810ce",
+}
+
+#: DNN-Life policy options of the golden battery, by label.
+DNN_LIFE_GOLDEN_POLICIES = {
+    "dnn_life": {},
+    "dnn_life_0.7": {"trbg_bias": 0.7, "bias_balancing": True},
+}
+
+#: sha256 of the sorted-key JSON ``ScenarioResult`` payload of a DNN-Life
+#: timeline under wear-swap whose idle phase reports retention from the
+#: held bits of the preceding leveled phase, captured on the per-span loop.
+GOLDEN_DNN_LIFE_SCENARIO_SHA = \
+    "73c5a378786bd3e18c7a5b2be249af4bcb87d1ec8d8b31f188881185590f556c"
+
+
 def _golden_8kb_case() -> BenchCase:
     return BenchCase(name="golden_8kb", description="golden leveling case",
                      memory_kb=8, word_bits=8, num_blocks=12,
@@ -242,16 +278,34 @@ def _golden_300span_case() -> BenchCase:
                      policies=("none",))
 
 
+def _payload_sha(payload: dict) -> str:
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def _leveled_payload_sha(case: BenchCase, policy_name: str,
-                         leveler_name: str, options: dict) -> str:
+                         leveler_name: str, options: dict,
+                         policy=None) -> str:
     stream = case.build_stream(seed=0)
     leveler = make_leveler(leveler_name, stream.geometry,
                            case.fifo_depth_tiles, **options)
-    result = AgingSimulator(stream, _policy_for(case, policy_name, 0),
+    if policy is None:
+        policy = _policy_for(case, policy_name, 0)
+    result = AgingSimulator(stream, policy,
                             num_inferences=case.num_inferences, seed=0,
                             leveler=leveler).run()
-    payload = json.dumps(result.to_payload(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _payload_sha(result.to_payload())
+
+
+def _dnn_life_scenario() -> LifetimeScenario:
+    """Leveled DNN-Life phases around a low-voltage idle retention window."""
+    return LifetimeScenario(phases=(
+        Phase.active("custom_mnist", "int8", "dnn_life", 7, 85.0),
+        Phase.idle(3, 45.0, voltage_v=0.62, frequency_ghz=0.1),
+        Phase.active("custom_mnist", "int8", "dnn_life", 6, 45.0,
+                     policy_options=DNN_LIFE_GOLDEN_POLICIES["dnn_life_0.7"]),
+        Phase.idle(2, 25.0),
+    ))
 
 
 class TestGoldenPayloads:
@@ -277,6 +331,27 @@ class TestGoldenPayloads:
         sha = _leveled_payload_sha(case, "none", "rotation",
                                    {"period": 8, "step": 1})
         assert sha == GOLDEN_300SPAN_SHA
+
+    @pytest.mark.parametrize("label", sorted(DNN_LIFE_GOLDEN_POLICIES))
+    @pytest.mark.parametrize("leveler_name,options",
+                             GOLDEN_LEVELERS, ids=lambda v: str(v))
+    def test_golden_dnn_life_8kb(self, label, leveler_name, options):
+        case = _golden_8kb_case()
+        policy = make_policy("dnn_life", case.word_bits, seed=0,
+                             **DNN_LIFE_GOLDEN_POLICIES[label])
+        sha = _leveled_payload_sha(case, "dnn_life", leveler_name, options,
+                                   policy=policy)
+        assert sha == GOLDEN_DNN_LIFE_8KB_SHAS[(label, leveler_name)]
+
+    def test_golden_dnn_life_scenario_under_wear_swap(self):
+        stream = _golden_8kb_case().build_stream(seed=0)
+        leveler = make_leveler("wear_swap", stream.geometry, 4, interval=2,
+                               swap_fraction=0.25)
+        result = ScenarioAgingSimulator(
+            _dnn_life_scenario(), stream_factory=lambda phase: stream,
+            seed=0, leveler=leveler).run()
+        assert any(entry is not None for entry in result.phase_retention)
+        assert _payload_sha(result.to_payload()) == GOLDEN_DNN_LIFE_SCENARIO_SHA
 
 
 class TestBatchedMatchesLoop:
