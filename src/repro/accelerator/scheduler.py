@@ -222,6 +222,52 @@ _REDUCE_CHUNK_BYTES = 1 << 22
 #: small-integer accumulator for weighted block reductions.
 _UINT16_BUDGET = 60_000
 
+#: Column-chunk budget (bytes of source data per chunk) of the byte-lane
+#: weighted reduction; its scaled-lane temporary is as large as the source.
+_LANE_CHUNK_BYTES = 1 << 20
+
+
+def _byte_lane_sum(view: np.ndarray, weights: np.ndarray,
+                   product_max: int) -> np.ndarray:
+    """Weighted block-axis sum of a ``(B, W, 8k)`` uint8 tensor in byte lanes.
+
+    Every word's ``8k`` cells are viewed as ``k`` uint64 lanes of 8 byte
+    cells each, so one multiply by the word's weight scales 8 cells at once.
+    While every byte stays at most 255 no carry crosses into its neighbour:
+    each product is at most ``product_max`` (the bound on cell x weight),
+    so up to ``255 // product_max`` blocks are summed per lane group (all
+    groups at once, through a reshape), and only the group sums are widened
+    back to bytes for the exact accumulation.  Byte positions survive the
+    round trip on either endianness.
+    """
+    num_blocks, words, word_bits = view.shape
+    out = np.zeros((words, word_bits), dtype=np.float64)
+    if product_max == 0:
+        return out
+    per_group = 255 // product_max
+    groups, tail = divmod(num_blocks, per_group)
+    head = groups * per_group
+    accumulator = (np.uint16 if product_max * num_blocks <= _UINT16_BUDGET
+                   else np.int64)
+    weights = weights.astype(np.uint8, copy=False)
+    chunk = max(64, _LANE_CHUNK_BYTES // max(num_blocks * word_bits, 1))
+    for start in range(0, words, chunk):
+        stop = min(start + chunk, words)
+        lanes = view[:, start:stop].view(np.uint64)
+        scaled = lanes * weights[:, start:stop, None]
+        scaled = scaled.reshape(num_blocks, -1)
+        parts = []
+        if groups:
+            parts.append(scaled[:head].reshape(groups, per_group, -1)
+                         .sum(axis=1, dtype=np.uint64))
+        if tail:
+            parts.append(scaled[head:].sum(axis=0, dtype=np.uint64)[None])
+        lane_sums = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out[start:stop] = (lane_sums.view(np.uint8)
+                           .reshape(len(lane_sums), stop - start, word_bits)
+                           .sum(axis=0, dtype=accumulator))
+    return out
+
 
 def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
                    max_value: Optional[int] = None) -> np.ndarray:
@@ -234,8 +280,11 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
     — bool data is implicitly bounded by 1; anything else keeps the wide
     accumulator unless a bound is declared, so an unknown value range can
     never overflow silently.  ``weights`` (shape ``(B, W)``, optional)
-    scales each block word before the reduction.  All supported inputs are
-    integral, so the float64 result is exact.
+    scales each block word before the reduction.  A ``uint8`` bit tensor
+    whose word width is a multiple of 8, with non-negative integer weights
+    whose products with ``max_value`` fit a byte, takes the byte-lane path
+    (:func:`_byte_lane_sum`).  All supported inputs are integral, so the
+    float64 result is exact.
     """
     num_blocks = view.shape[0]
     if max_value is None and view.dtype == np.bool_:
@@ -258,15 +307,20 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
         return (view * np.asarray(weights, dtype=np.float64)).sum(
             axis=0, dtype=np.float64)
     words, word_bits = view.shape[1], view.shape[2]
+    weight_max = int(weights.max()) if weights.size else 0
+    # Products of a uint8 cell and a non-negative integer weight that
+    # provably fit a byte allow the narrow paths; anything else widens.
+    narrow = (view.dtype == np.uint8 and max_value is not None
+              and max_value * weight_max <= 255
+              and (weights.dtype.kind in "bu"
+                   or (weights.dtype.kind == "i"
+                       and (not weights.size or int(weights.min()) >= 0))))
+    if narrow and word_bits % 8 == 0 and view.strides[2] == 1:
+        return _byte_lane_sum(view, weights, max_value * weight_max)
     out = np.empty((words, word_bits), dtype=np.float64)
     chunk = max(64, _REDUCE_CHUNK_BYTES
                 // max(num_blocks * word_bits * view.dtype.itemsize, 1))
-    weight_max = int(weights.max()) if weights.size else 0
-    small = (view.dtype == np.uint8 and weights.dtype.kind in "bui"
-             and max_value is not None
-             and max_value * weight_max <= 255
-             and max_value * weight_max * num_blocks <= _UINT16_BUDGET)
-    if small:
+    if narrow and max_value * weight_max * num_blocks <= _UINT16_BUDGET:
         weights = weights.astype(np.uint8, copy=False)
         for start in range(0, words, chunk):
             stop = min(start + chunk, words)

@@ -35,6 +35,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -79,48 +80,47 @@ CountsKernel = Callable[[int, int], Tuple[np.ndarray, np.ndarray]]
 #: write of inference ``t`` leaves behind (NaN on unwritten rows).
 LastBitsKernel = Callable[[int], np.ndarray]
 
-#: Batched counts factory: ``batch(starts, lengths)`` returns the
+#: Batched counts factory: ``batch(starts, lengths, mappings)`` returns the
 #: :class:`~repro.core.span_compose.BatchedCounts` decomposition of the
-#: per-span counts over a whole span table at once.
-BatchedCountsBuilder = Callable[[np.ndarray, np.ndarray], BatchedCounts]
+#: per-span counts over a whole span table at once; spans with equal
+#: ``mappings`` labels share one logical→physical row map.
+BatchedCountsBuilder = Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                BatchedCounts]
 
 
 class PackedSpanKernel:
-    """A policy's closed-form counts kernel, with an optional batched form.
+    """A policy's closed-form counts kernel and its batched form.
 
     Instances are callable exactly like the legacy ``counts(start, n)``
     closures (:data:`CountsKernel`), which is how the scenario driver and the
-    cross-check tests keep consuming them.  Kernels whose span counts
-    decompose into fixed basis matrices with per-span scalar coefficients
-    additionally expose :meth:`counts_batch`, the entry point of the fused
-    leveling composition (:class:`~repro.core.span_compose.SpanComposer`);
-    stochastic kernels (DNN-Life's TRBG draws fresh randomness per span, in
-    call order) have no batched form and keep the per-span loop.
+    cross-check tests keep consuming them.  :meth:`counts_batch` is the entry
+    point of the fused leveling composition
+    (:class:`~repro.core.span_compose.SpanComposer`): fixed basis matrices
+    with per-span scalar coefficients, plus — for DNN-Life, whose TRBG draws
+    fresh randomness per span in call order — one exact residual per
+    distinct mapping.
     """
 
-    def __init__(self, counts: CountsKernel,
-                 batch: Optional[BatchedCountsBuilder] = None):
+    def __init__(self, counts: CountsKernel, batch: BatchedCountsBuilder):
         self._counts = counts
         self._batch = batch
 
     def __call__(self, start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
         return self._counts(start, n)
 
-    @property
-    def supports_batch(self) -> bool:
-        """Whether :meth:`counts_batch` is available for this kernel."""
-        return self._batch is not None
+    def counts_batch(self, starts: np.ndarray, lengths: np.ndarray,
+                     mappings: Optional[np.ndarray] = None) -> BatchedCounts:
+        """Per-span counts decomposition over a whole span table.
 
-    def counts_batch(self, starts: np.ndarray,
-                     lengths: np.ndarray) -> BatchedCounts:
-        """Per-span counts decomposition over a whole span table."""
-        if self._batch is None:
-            raise NotImplementedError(
-                "this kernel has no batched form (stochastic per-span "
-                "draws); evaluate counts(start, n) per span instead")
+        ``mappings`` labels each span's row map (see
+        :meth:`~repro.leveling.remap.SpanTable.mapping_ids`); by default
+        every span has its own.
+        """
         starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
-        return self._batch(starts, lengths)
+        mappings = (np.arange(starts.size, dtype=np.int64) if mappings is None
+                    else np.asarray(mappings, dtype=np.int64).reshape(-1))
+        return self._batch(starts, lengths, mappings)
 
 
 # --------------------------------------------------------------------------- #
@@ -566,10 +566,9 @@ class AgingSimulator:
         A kernel is a :class:`PackedSpanKernel`: callable as
         ``counts(start_inference, n) -> (numerator, writes)`` returning the
         per-logical-cell ones numerator and per-row write denominator
-        accumulated over inferences ``[start, start + n)``, and (for the
-        deterministic policies) exposing the batched
-        :meth:`PackedSpanKernel.counts_batch` decomposition over whole span
-        tables.  The heavy tensor reductions happen once in the factory; each
+        accumulated over inferences ``[start, start + n)``, and exposing the
+        batched :meth:`PackedSpanKernel.counts_batch` decomposition over
+        whole span tables.  The heavy tensor reductions happen once in the factory; each
         call is a cheap combination, which is what lets the leveling driver
         evaluate many constant-mapping spans without re-reducing the packed
         tensor.
@@ -595,13 +594,10 @@ class AgingSimulator:
         explicit permutation chunks alike — into a constant number of NumPy
         passes, bit-identically to the iterative span walk.  Feedback-driven
         levelers observe the accumulated physical stress between chunks, from
-        the composer's ``(rows,)`` running totals.  Kernels without a batched
-        form (the stochastic DNN-Life policy) keep the legacy per-span loop.
+        the composer's ``(rows,)`` running totals.
         """
         from repro.leveling.remap import mean_duty_from_row_counts
 
-        if not kernel.supports_batch:
-            return self._packed_with_leveling_loop(kernel)
         packed = self._packed()
         rows, word_bits = packed.geometry.rows, packed.word_bits
         leveler = self.leveler
@@ -612,7 +608,8 @@ class AgingSimulator:
             if not table.num_spans:
                 continue
             composer.add_table(
-                table, kernel.counts_batch(table.starts, table.lengths))
+                table, kernel.counts_batch(table.starts, table.lengths,
+                                           table.mapping_ids()))
             if leveler.uses_feedback:
                 row_ones, row_writes = composer.row_totals()
                 leveler.observe(
@@ -620,34 +617,6 @@ class AgingSimulator:
                     mean_duty_from_row_counts(row_ones,
                                               row_writes * float(word_bits)))
         ones, writes = composer.finalize()
-        return _duty_from_counts(ones, writes)
-
-    def _packed_with_leveling_loop(self, kernel: PackedSpanKernel) -> np.ndarray:
-        """Per-span reference composition (and the stochastic-kernel path).
-
-        Each constant-mapping span contributes its closed-form logical counts,
-        gathered into physical rows through the span's permutation — one fancy
-        row-gather per span, never a per-block Python loop.  Feedback-driven
-        levelers observe the accumulated physical stress at span boundaries.
-        Kept verbatim as the RNG-draw-order-preserving path for DNN-Life and
-        as the cross-check reference for the batched composition.
-        """
-        from repro.leveling.remap import mean_duty_per_row
-
-        packed = self._packed()
-        rows, word_bits = packed.geometry.rows, packed.word_bits
-        leveler = self.leveler
-        leveler.reset()
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.float64)
-        for start, length in leveler.spans(self.num_inferences):
-            permutation = leveler.permutation(start)
-            span_ones, span_writes = kernel(start, length)
-            ones[permutation] += span_ones
-            writes[permutation] += span_writes
-            if leveler.uses_feedback:
-                leveler.observe(start + length,
-                                mean_duty_per_row(ones, writes * float(word_bits)))
         return _duty_from_counts(ones, writes)
 
     # ------------------------------------------------------------------ #
@@ -680,7 +649,8 @@ class AgingSimulator:
         row_bases = [bases[0].sum(axis=1)]
         writes_base = np.ascontiguousarray(writes, dtype=np.float64)
 
-        def batch(starts: np.ndarray, lengths: np.ndarray) -> BatchedCounts:
+        def batch(starts: np.ndarray, lengths: np.ndarray,
+                  mappings: np.ndarray) -> BatchedCounts:
             return BatchedCounts(bases, lengths.astype(np.float64)[None, :],
                                  writes_base, row_bases)
 
@@ -789,7 +759,8 @@ class AgingSimulator:
         row_bases = [channel.sum(axis=1) for channel in bases]
         writes_base = np.ascontiguousarray(writes, dtype=np.float64)
 
-        def batch(starts: np.ndarray, lengths: np.ndarray) -> BatchedCounts:
+        def batch(starts: np.ndarray, lengths: np.ndarray,
+                  mappings: np.ndarray) -> BatchedCounts:
             coeff_rows = [lengths.astype(np.float64)]
             if drift_per_row is not None:
                 odd = (starts + lengths) // 2 - starts // 2
@@ -871,7 +842,8 @@ class AgingSimulator:
             bases = [np.ascontiguousarray(aligned)]
             row_bases = [bases[0].sum(axis=1)]
 
-            def batch(starts: np.ndarray, lengths: np.ndarray) -> BatchedCounts:
+            def batch(starts: np.ndarray, lengths: np.ndarray,
+                      mappings: np.ndarray) -> BatchedCounts:
                 return BatchedCounts(bases, lengths.astype(np.float64)[None, :],
                                      writes_base, row_bases)
         else:
@@ -891,7 +863,8 @@ class AgingSimulator:
                 full = (epochs // period)[:, None] * prefix[period][None, :]
                 return full + prefix[epochs % period]
 
-            def batch(starts: np.ndarray, lengths: np.ndarray) -> BatchedCounts:
+            def batch(starts: np.ndarray, lengths: np.ndarray,
+                      mappings: np.ndarray) -> BatchedCounts:
                 spans = (rotation_counts(starts + lengths)
                          - rotation_counts(starts))[:, rotations]
                 return BatchedCounts(bases, spans.T.astype(np.float64),
@@ -912,7 +885,15 @@ class AgingSimulator:
         writes = packed.rows_writes()
         rng = self.rng
 
-        def counts(start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        def draw(start: int, n: int) -> np.ndarray:
+            # Number of inferences (out of the span's n) in which each group's
+            # enable bit comes out as 1 — one binomial draw per (block, group).
+            # An unbiased TRBG is phase-independent (B(t0, .5) + B(t1, .5) is
+            # B(T, .5)), and biased ones share t_one across at most one
+            # balancer period of distinct values, so all draws run through
+            # numpy's scalar-n binomial fast path.
+            if bias == 0.5:
+                return _unbiased_binomial(rng, n, (num_blocks, num_groups))
             # Deterministic bias-balancing phase of every (inference, block)
             # pair in the span: the register ticks once per block, its MSB is
             # the inversion phase.
@@ -921,41 +902,76 @@ class AgingSimulator:
                                 + np.arange(num_blocks)[None, :])
                 register = (global_index + 1) % balancer.period
                 phases = (register >> (balancer.num_bits - 1)) & 0x1
-                inferences_in_phase_one = phases.sum(axis=0)
+                t_one = phases.sum(axis=0)
             else:
-                inferences_in_phase_one = np.zeros(num_blocks, dtype=np.int64)
-            t_one = inferences_in_phase_one
+                t_one = np.zeros(num_blocks, dtype=np.int64)
+            group_enables = np.empty((num_blocks, num_groups), dtype=np.int64)
+            for phase_count in np.unique(t_one):
+                selected = t_one == phase_count
+                count = (int(selected.sum()), num_groups)
+                group_enables[selected] = (
+                    rng.binomial(int(n - phase_count), bias, size=count)
+                    + rng.binomial(int(phase_count), 1.0 - bias, size=count))
+            return group_enables
 
-            # Number of inferences (out of the span's n) in which each group's
-            # enable bit comes out as 1 — one binomial draw per (block, group).
-            # An unbiased TRBG is phase-independent (B(t0, .5) + B(t1, .5) is
-            # B(T, .5)), and biased ones share t_one across at most one
-            # balancer period of distinct values, so all draws run through
-            # numpy's scalar-n binomial fast path.
-            if bias == 0.5:
-                group_enables = _unbiased_binomial(rng, n, (num_blocks, num_groups))
-            else:
-                group_enables = np.empty((num_blocks, num_groups), dtype=np.int64)
-                for phase_count in np.unique(t_one):
-                    selected = t_one == phase_count
-                    count = (int(selected.sum()), num_groups)
-                    group_enables[selected] = (
-                        rng.binomial(int(n - phase_count), bias, size=count)
-                        + rng.binomial(int(phase_count), 1.0 - bias, size=count))
-            if n <= 255:
+        def residual(group_enables: np.ndarray, bound: int) -> np.ndarray:
+            # An enabled write stores the inverted word, so a cell's ones
+            # count is ones * n + enables - 2 * crossed, where ``crossed``
+            # counts the enabled writes of a '1'.  The residual is linear in
+            # the enables (at most ``bound`` per group), so spans sharing a
+            # mapping reduce their summed enables in one pass; every entry is
+            # an exact integer in float64.
+            if bound <= 255:
                 group_enables = group_enables.astype(np.uint8, copy=False)
             word_enables = np.repeat(group_enables, group, axis=1)[:, :words]
             word_enables = word_enables * valid
-
-            enables_total = packed.rows_sum(word_enables, max_value=n)
+            enables_total = packed.rows_sum(word_enables, max_value=bound)
             crossed = packed.rows_sum(packed.bits, weights=word_enables, max_value=1)
-            numerator = (ones * n + enables_total[:, None] - 2.0 * crossed)
+            crossed *= -2.0
+            crossed += enables_total[:, None]
+            return crossed
+
+        def counts(start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+            numerator = residual(draw(start, n), n)
+            numerator += ones * n
             return numerator, writes * n
 
-        # No batched form: the TRBG draws fresh randomness per span, in call
-        # order, so the leveled composition keeps the per-span loop (which
-        # preserves the RNG draw sequence the golden results pin down).
-        return PackedSpanKernel(counts)
+        # Batched form: the ``ones`` channel with coefficient n, plus one
+        # residual per distinct mapping.
+        bases = [np.ascontiguousarray(ones, dtype=np.float64)]
+        row_bases = [bases[0].sum(axis=1)]
+        writes_base = np.ascontiguousarray(writes, dtype=np.float64)
+
+        def residuals(starts: np.ndarray, lengths: np.ndarray,
+                      mappings: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+            # Every span draws in table order with the same calls as
+            # counts(start, n), so the RNG stream does not depend on the
+            # grouping.  A mapping is reduced as soon as its last span is
+            # drawn, so only the open mappings' enable sums are held.
+            labels = mappings.tolist()
+            last = {label: k for k, label in enumerate(labels)}
+            bounds: Dict[int, int] = {}
+            for label, length in zip(labels, lengths.tolist()):
+                bounds[label] = bounds.get(label, 0) + length
+            open_sums: Dict[int, np.ndarray] = {}
+            for k, label in enumerate(labels):
+                drawn = draw(int(starts[k]), int(lengths[k]))
+                if bounds[label] <= 255:
+                    drawn = drawn.astype(np.uint8, copy=False)
+                if label in open_sums:
+                    open_sums[label] += drawn
+                else:
+                    open_sums[label] = drawn
+                if last[label] == k:
+                    yield label, residual(open_sums.pop(label), bounds[label])
+
+        def batch(starts: np.ndarray, lengths: np.ndarray,
+                  mappings: np.ndarray) -> BatchedCounts:
+            return BatchedCounts(bases, lengths.astype(np.float64)[None, :],
+                                 writes_base, row_bases,
+                                 residuals=residuals(starts, lengths, mappings))
+
+        return PackedSpanKernel(counts, batch)
 
 
 def _describe_with_leveling(policy: MitigationPolicy,

@@ -8,12 +8,15 @@ bench trajectory recorded.  This module collapses the whole composition into
 a constant number of NumPy passes, bit-identically, by exploiting two pieces
 of structure:
 
-* **Channel decomposition** — every deterministic policy kernel's span counts
-  are a small linear combination ``span_ones_k = sum_c coeffs[c, k] *
-  bases[c]`` of *fixed* basis matrices with cheap per-span scalar
-  coefficients (:class:`BatchedCounts`, built by the per-policy
-  ``counts_batch`` closed forms).  Composing the whole run then only needs
-  the per-*mapping* totals of each channel's coefficients, never a per-span
+* **Channel decomposition** — every policy kernel's span counts are a small
+  linear combination ``span_ones_k = sum_c coeffs[c, k] * bases[c]`` of
+  *fixed* basis matrices with cheap per-span scalar coefficients
+  (:class:`BatchedCounts`, built by the per-policy ``counts_batch`` closed
+  forms), plus — for the stochastic DNN-Life kernel, whose TRBG draws are
+  fresh per span — one exact-integer *residual* matrix per distinct mapping,
+  reduced once from the enables of every span sharing that mapping.
+  Composing the whole run then only needs the per-*mapping* totals of each
+  channel's coefficients and the per-mapping residuals, never a per-span
   tensor.
 * **Offset grouping** — schedule-driven levelers (rotation, start-gap) remap
   by per-region row rolls, so spans sharing a roll offset collapse into one
@@ -27,6 +30,8 @@ instead; those compose through one fused sparse mat-vec over a ``(row,
 span)`` index matrix (SciPy's ``csr_matvecs`` when available, a per-span
 gather fallback otherwise), while the per-chunk feedback signal is maintained
 as ``(rows,)`` running row totals — never a full-matrix reduction.
+Residuals roll into place with two slice-adds (offset tables) or a row
+gather (permutation chunks) as soon as their mapping is complete.
 
 Exactness: every basis entry, coefficient, and weight is an exact integer
 held in float64 (far below 2**53), so products and partial sums are exact and
@@ -39,7 +44,7 @@ packed-vs-explicit batteries in the test suite pin this down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,9 +71,11 @@ class BatchedCounts:
 
     ``span_ones_k = sum_c coeffs[c, k] * bases[c]`` and ``span_writes_k =
     lengths[k] * writes`` reproduce the scalar ``counts(start, n)`` kernel
-    exactly (same integers, hence the same float64 bits).  ``bases`` must be
-    identical objects across every ``counts_batch`` call of one kernel — the
-    composer folds coefficients across chunks under that identity.
+    exactly (same integers, hence the same float64 bits) — for a stochastic
+    kernel together with ``residuals``, which adds each mapping's residual
+    to the channels of the spans sharing it.  ``bases`` must be identical
+    objects across every ``counts_batch`` call of one kernel — the composer
+    folds coefficients across chunks under that identity.
     """
 
     #: ``C`` fixed basis matrices, each ``(rows, word_bits)`` float64.
@@ -79,6 +86,11 @@ class BatchedCounts:
     writes: np.ndarray
     #: ``C`` cached ``bases[c].sum(axis=1)`` row reductions (feedback signal).
     row_bases: List[np.ndarray]
+    #: Optional ``(mapping label, (rows, word_bits) float64 residual)`` pairs,
+    #: one per distinct mapping label of the batch, holding exact integers.
+    #: The iterator may draw randomness lazily, so it is consumed exactly
+    #: once, by :meth:`SpanComposer.add_table`, before the next batch is built.
+    residuals: Optional[Iterator[Tuple[int, np.ndarray]]] = None
 
 
 def _roll_axpy(out3: np.ndarray, base3: np.ndarray, offset: int,
@@ -86,14 +98,13 @@ def _roll_axpy(out3: np.ndarray, base3: np.ndarray, offset: int,
     """``out3[g, j] += weight * base3[g, (j - offset) % R]`` via two slices."""
     region_rows = base3.shape[1]
     offset = int(offset) % region_rows
+    if weight != 1.0:
+        base3 = weight * base3
     if offset == 0:
-        if weight == 1.0:
-            out3 += base3
-        else:
-            out3 += weight * base3
+        out3 += base3
         return
-    out3[:, offset:] += weight * base3[:, :region_rows - offset]
-    out3[:, :offset] += weight * base3[:, region_rows - offset:]
+    out3[:, offset:] += base3[:, :region_rows - offset]
+    out3[:, :offset] += base3[:, region_rows - offset:]
 
 
 def _window_axpy(out3: np.ndarray, base3: np.ndarray, weight: float,
@@ -214,6 +225,8 @@ class SpanComposer:
         self._perm_inverses: List[np.ndarray] = []
         self._perm_coeffs: List[np.ndarray] = []
         self._perm_lengths: List[float] = []
+        #: Physical sum of every mapping's residual (allocated on first use).
+        self._residual: Optional[np.ndarray] = None
         self._track = bool(track_feedback)
         self._row_ones = (np.zeros(self.rows, dtype=np.float64)
                           if self._track else None)
@@ -243,13 +256,20 @@ class SpanComposer:
                     "supported: feedback levelers emit permutation chunks")
             self._offset_records.append(
                 (table.offsets, batched.coeffs, table.lengths))
+            if batched.residuals is not None:
+                shape = (self.rows // self.region_rows, self.region_rows, -1)
+                total3 = self._residual_sum().reshape(shape)
+                for offset, residual in batched.residuals:
+                    _roll_axpy(total3, residual.reshape(shape), offset, 1.0)
             return
         if self._identity32 is None:
             self._identity32 = np.arange(self.rows, dtype=np.int32)
         permutations = table.permutations()
+        inverses = []
         for k in range(table.num_spans):
             inverse = np.empty(self.rows, dtype=np.int32)
             inverse[permutations[k]] = self._identity32
+            inverses.append(inverse)
             self._perm_inverses.append(inverse)
             coeffs = np.asarray(batched.coeffs[:, k], dtype=np.float64)
             length = float(table.lengths[k])
@@ -265,6 +285,20 @@ class SpanComposer:
                                      * self._row_bases[channel][inverse])
                 self._row_ones += gathered
                 self._row_writes += length * self._writes_base[inverse]
+        if batched.residuals is not None:
+            total = self._residual_sum()
+            for span, residual in batched.residuals:
+                inverse = inverses[span]
+                total += residual[inverse]
+                if self._track:
+                    self._row_ones += residual.sum(axis=1)[inverse]
+
+    def _residual_sum(self) -> np.ndarray:
+        """The physical residual accumulator (also ``finalize``'s base)."""
+        if self._residual is None:
+            self._residual = np.zeros((self.rows, self.word_bits),
+                                      dtype=np.float64)
+        return self._residual
 
     def row_totals(self) -> Tuple[np.ndarray, np.ndarray]:
         """Running physical ``(row_ones, row_writes)`` totals (feedback)."""
@@ -274,7 +308,8 @@ class SpanComposer:
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialise the composed physical ``(ones, writes)`` counts."""
-        ones = np.zeros((self.rows, self.word_bits), dtype=np.float64)
+        ones = self._residual_sum()
+        self._residual = None
         writes = np.zeros(self.rows, dtype=np.float64)
         if self._bases is None:  # no spans at all
             return ones, writes

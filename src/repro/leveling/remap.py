@@ -168,6 +168,16 @@ class SpanTable:
             return self._permutations[index]
         return self.leveler._region_rotation(int(self.offsets[index]))
 
+    def mapping_ids(self) -> np.ndarray:
+        """``(num_spans,)`` labels; spans with equal labels share a mapping.
+
+        The roll offset for offset-form tables, the span index for
+        permutation tables (each explicit permutation counts as distinct).
+        """
+        if self.offsets is not None:
+            return self.offsets
+        return np.arange(self.num_spans, dtype=np.int64)
+
     def permutations(self) -> np.ndarray:
         """Materialise the full ``(num_spans, rows)`` permutation matrix."""
         if self._permutations is not None:

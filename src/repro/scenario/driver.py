@@ -581,10 +581,6 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
                 # whatever its final write of the final epoch stored.
                 self._held[written] = last_bits(phase.duration - 1)[written]
             return kernel(0, phase.duration)
-        if not kernel.supports_batch:
-            return self._phase_counts_loop(kernel, phase, cursor,
-                                           last_bits if track_held else None,
-                                           written if track_held else None)
         rows, word_bits = self._geometry()
         track_feedback = self._track_feedback
         composer = SpanComposer(rows, word_bits, leveler.region_rows,
@@ -599,7 +595,8 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
             # persistent leveler schedule.
             composer.add_table(
                 table, kernel.counts_batch(table.starts - cursor,
-                                           table.lengths))
+                                           table.lengths,
+                                           table.mapping_ids()))
             tables.append(table)
             if track_feedback:
                 row_ones, row_writes = composer.row_totals()
@@ -650,44 +647,6 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
                     remaining -= int(np.count_nonzero(need))
                 if remaining <= 0:
                     return
-
-    def _phase_counts_loop(self, kernel: Callable, phase: Phase, cursor: int,
-                           last_bits: Optional[Callable[[int], np.ndarray]],
-                           written: Optional[np.ndarray]
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-span reference walk for kernels without a batched form.
-
-        The stochastic DNN-Life kernel draws fresh randomness per span in
-        call order, so its leveled composition keeps the original span loop
-        (the batched path would reorder the draws).  Feedback still runs on
-        the persistent ``(rows,)`` physical totals — the row reduction of a
-        span's exact-integer counts commutes with the permutation scatter, so
-        the observed stress is unchanged bit for bit.
-        """
-        leveler = self.leveler
-        rows, word_bits = self._geometry()
-        ones = np.zeros((rows, word_bits), dtype=np.float64)
-        writes = np.zeros(rows, dtype=np.float64)
-        for start, length in leveler.spans(self._total_active, start=cursor,
-                                           stop=cursor + phase.duration):
-            permutation = leveler.permutation(start)
-            span_ones, span_writes = kernel(start - cursor, length)
-            ones[permutation] += span_ones
-            writes[permutation] += span_writes
-            if last_bits is not None:
-                # Within a constant-mapping span every written row's last
-                # write is in the span's final epoch; later spans overwrite
-                # earlier ones in stream order, so after the loop each
-                # physical cell holds exactly its last-written value.
-                stored = last_bits(start - cursor + length - 1)
-                self._held[permutation[written]] = stored[written]
-            if self._track_feedback:
-                self._row_acc_ones[permutation] += span_ones.sum(axis=1)
-                self._row_acc_writes[permutation] += span_writes
-                leveler.observe(start + length, mean_duty_from_row_counts(
-                    self._row_acc_ones,
-                    self._row_acc_writes * float(word_bits)))
-        return ones, writes
 
 
 # --------------------------------------------------------------------------- #

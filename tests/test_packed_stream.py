@@ -1,8 +1,13 @@
 """Tests for the packed bit-tensor weight-stream representation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.accelerator.scheduler as scheduler_module
 from repro.accelerator.scheduler import (
     CachedWeightStream,
     PackedBitTensor,
@@ -129,6 +134,93 @@ class TestReductionHelpers:
         assert isinstance(as_stride_indexer(np.asarray([3, 7, 11])), slice)
         assert not isinstance(as_stride_indexer(np.asarray([1, 5, 6])), slice)
         assert as_stride_indexer(np.asarray([], dtype=np.int64)).size == 0
+
+
+@st.composite
+def weighted_bit_tensors(draw, word_bits, weight_max, weight_dtypes,
+                         view_dtypes=(np.uint8,)):
+    """A region view of a random bit tensor plus its per-word weights.
+
+    The region indexer is a block stride (a view) or a sorted fancy index (a
+    copy), the two forms :meth:`PackedBitTensor.region_indexers` yields.
+    ``weight_max`` is always attained, so the drawn maximum sets the lane
+    budget.
+    """
+    bits_per_word = draw(word_bits)
+    num_blocks = draw(st.integers(min_value=1, max_value=300))
+    words = draw(st.integers(min_value=1, max_value=24))
+    top = draw(weight_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2, size=(num_blocks, words, bits_per_word),
+                        dtype=np.uint8).astype(draw(st.sampled_from(view_dtypes)))
+    weights = rng.integers(0, top + 1, size=(num_blocks, words))
+    weights[rng.integers(num_blocks), rng.integers(words)] = top
+    weights = weights.astype(draw(st.sampled_from(weight_dtypes)))
+    if draw(st.booleans()):
+        indexer = slice(draw(st.integers(0, num_blocks - 1)), None,
+                        draw(st.integers(1, 4)))
+    else:
+        size = draw(st.integers(1, num_blocks))
+        indexer = np.sort(rng.choice(num_blocks, size=size, replace=False))
+    view, region_weights = bits[indexer], weights[indexer]
+    if not np.any(region_weights == top):
+        region_weights[0, 0] = top
+    return view, region_weights
+
+
+def _einsum_reference(view, weights):
+    return np.einsum("bwn,bw->wn", view.astype(np.int64),
+                     weights.astype(np.int64))
+
+
+class TestByteLaneBlockAxisSum:
+    """The byte-lane weighted reduction is exact and taken only when safe."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_bit_tensors(
+        word_bits=st.sampled_from([8, 16, 32]),
+        weight_max=st.integers(min_value=0, max_value=255),
+        weight_dtypes=(np.uint8, np.uint16, np.int64)))
+    def test_matches_int64_einsum(self, case):
+        view, weights = case
+        with mock.patch.object(scheduler_module, "_byte_lane_sum",
+                               wraps=scheduler_module._byte_lane_sum) as lanes:
+            got = block_axis_sum(view, weights, max_value=1)
+        assert lanes.call_count == 1
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _einsum_reference(view, weights))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        weighted_bit_tensors(word_bits=st.sampled_from([8, 16, 32]),
+                             weight_max=st.integers(256, 5000),
+                             weight_dtypes=(np.uint16, np.int64)),
+        weighted_bit_tensors(word_bits=st.sampled_from([8, 16]),
+                             weight_max=st.integers(0, 255),
+                             weight_dtypes=(np.uint8, np.int64),
+                             view_dtypes=(np.uint16, np.int64)),
+        weighted_bit_tensors(word_bits=st.sampled_from([3, 6, 12]),
+                             weight_max=st.integers(0, 255),
+                             weight_dtypes=(np.uint8, np.int64))))
+    def test_ineligible_inputs_fall_back_exactly(self, case):
+        view, weights = case
+        with mock.patch.object(scheduler_module, "_byte_lane_sum",
+                               wraps=scheduler_module._byte_lane_sum) as lanes:
+            got = block_axis_sum(view, weights, max_value=1)
+        assert lanes.call_count == 0
+        assert np.array_equal(got, _einsum_reference(view, weights))
+
+    def test_float_and_negative_weights_fall_back(self, rng):
+        view = rng.integers(0, 2, size=(9, 5, 8), dtype=np.uint8)
+        weights = rng.integers(-3, 4, size=(9, 5))
+        with mock.patch.object(scheduler_module, "_byte_lane_sum",
+                               wraps=scheduler_module._byte_lane_sum) as lanes:
+            signed = block_axis_sum(view, weights, max_value=1)
+            floating = block_axis_sum(view, weights.astype(np.float64),
+                                      max_value=1)
+        assert lanes.call_count == 0
+        assert np.array_equal(signed, _einsum_reference(view, weights))
+        assert np.array_equal(floating, _einsum_reference(view, weights))
 
 
 class TestFromStreamValidation:

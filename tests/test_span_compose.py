@@ -11,7 +11,8 @@ Three layers of protection for the fused remap composition
 * byte-identity regressions pinning the batched engine's ``AgingResult``
   payloads to SHAs captured on the pre-refactor per-span loop, including a
   >255-span schedule that would expose any narrow-dtype shortcut in the
-  composition, plus live batched-vs-loop and scipy-vs-numpy cross-checks.
+  composition and DNN-Life under every leveler (which pins its TRBG draw
+  order), plus live batched-vs-explicit and scipy-vs-numpy cross-checks.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 import repro.core.span_compose as span_compose
 from repro.bench.aging_bench import BenchCase, _policy_for
 from repro.core.policies import make_policy
-from repro.core.simulation import AgingSimulator, PackedSpanKernel
+from repro.core.simulation import AgingSimulator, ExplicitAgingSimulator
 from repro.leveling import (
     make_leveler,
     set_span_validation,
@@ -354,42 +355,42 @@ class TestGoldenPayloads:
         assert _payload_sha(result.to_payload()) == GOLDEN_DNN_LIFE_SCENARIO_SHA
 
 
-class TestBatchedMatchesLoop:
-    """Live cross-check: fused composition vs the retained per-span loop."""
+class TestBatchedMatchesExplicit:
+    """Live cross-check: fused composition vs the write-by-write replay.
 
-    @staticmethod
-    def _force_loop(monkeypatch):
-        monkeypatch.setattr(PackedSpanKernel, "supports_batch",
-                            property(lambda self: False))
+    :class:`ExplicitAgingSimulator` routes every block write through the
+    leveler's permutation, so for the deterministic policies it is the
+    bit-exact reference of the composed span counts.
+    """
 
-    def _run(self, case, policy_name, leveler_name, options):
+    def _run(self, case, policy_name, leveler_name, options,
+             engine=AgingSimulator):
         stream = case.build_stream(seed=0)
         leveler = make_leveler(leveler_name, stream.geometry,
                                case.fifo_depth_tiles, **options)
-        return AgingSimulator(stream, _policy_for(case, policy_name, 0),
-                              num_inferences=case.num_inferences, seed=0,
-                              leveler=leveler).run()
+        return engine(stream, _policy_for(case, policy_name, 0),
+                      num_inferences=case.num_inferences,
+                      leveler=leveler).run()
 
     @pytest.mark.parametrize("policy_name",
                              ["none", "inversion", "barrel_shifter"])
     @pytest.mark.parametrize("leveler_name,options",
                              GOLDEN_LEVELERS, ids=lambda v: str(v))
-    def test_bitwise_equal_results(self, monkeypatch, policy_name,
-                                   leveler_name, options):
+    def test_bitwise_equal_results(self, policy_name, leveler_name, options):
         case = _golden_8kb_case()
         batched = self._run(case, policy_name, leveler_name, options)
-        self._force_loop(monkeypatch)
-        loop = self._run(case, policy_name, leveler_name, options)
-        assert np.array_equal(batched.duty_cycles, loop.duty_cycles)
+        explicit = self._run(case, policy_name, leveler_name, options,
+                             engine=ExplicitAgingSimulator)
+        assert np.array_equal(batched.duty_cycles, explicit.duty_cycles)
 
-    def test_300_span_schedule_bitwise_equal(self, monkeypatch):
+    def test_300_span_schedule_bitwise_equal(self):
         case = _golden_300span_case()
         batched = self._run(case, "inversion", "rotation",
                             {"period": 8, "step": 1})
-        self._force_loop(monkeypatch)
-        loop = self._run(case, "inversion", "rotation",
-                         {"period": 8, "step": 1})
-        assert np.array_equal(batched.duty_cycles, loop.duty_cycles)
+        explicit = self._run(case, "inversion", "rotation",
+                             {"period": 8, "step": 1},
+                             engine=ExplicitAgingSimulator)
+        assert np.array_equal(batched.duty_cycles, explicit.duty_cycles)
 
     def test_permutation_matvec_fallback_is_bitwise_equal(self, monkeypatch):
         """The numpy gather fallback must match the scipy csr_matvecs path."""
