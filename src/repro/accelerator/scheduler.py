@@ -227,8 +227,16 @@ _UINT16_BUDGET = 60_000
 _LANE_CHUNK_BYTES = 1 << 20
 
 
-def _byte_lane_sum(view: np.ndarray, weights: np.ndarray,
-                   product_max: int) -> np.ndarray:
+def _count_dtype(bound: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds every count up to ``bound``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _byte_lane_sum(view: np.ndarray, weights: np.ndarray, product_max: int,
+                   out: np.ndarray) -> None:
     """Weighted block-axis sum of a ``(B, W, 8k)`` uint8 tensor in byte lanes.
 
     Every word's ``8k`` cells are viewed as ``k`` uint64 lanes of 8 byte
@@ -238,35 +246,50 @@ def _byte_lane_sum(view: np.ndarray, weights: np.ndarray,
     so up to ``255 // product_max`` blocks are summed per lane group (all
     groups at once, through a reshape), and only the group sums are widened
     back to bytes for the exact accumulation.  Byte positions survive the
-    round trip on either endianness.
+    round trip on either endianness.  The ``(W, 8k)`` sums are written to
+    ``out``, whose dtype must hold ``product_max * B``; a C-contiguous
+    uint8 ``out`` with all blocks in one lane group receives the lane sums
+    directly.
     """
     num_blocks, words, word_bits = view.shape
-    out = np.zeros((words, word_bits), dtype=np.float64)
     if product_max == 0:
-        return out
+        out[...] = 0
+        return
     per_group = 255 // product_max
     groups, tail = divmod(num_blocks, per_group)
     head = groups * per_group
-    accumulator = (np.uint16 if product_max * num_blocks <= _UINT16_BUDGET
-                   else np.int64)
+    single = head == 0
+    direct = single and out.dtype == np.uint8 and out.flags.c_contiguous
+    widened = _count_dtype(product_max * num_blocks)
     weights = weights.astype(np.uint8, copy=False)
+    lanes_per_word = word_bits // 8
     chunk = max(64, _LANE_CHUNK_BYTES // max(num_blocks * word_bits, 1))
     for start in range(0, words, chunk):
         stop = min(start + chunk, words)
-        lanes = view[:, start:stop].view(np.uint64)
-        scaled = lanes * weights[:, start:stop, None]
-        scaled = scaled.reshape(num_blocks, -1)
-        parts = []
-        if groups:
-            parts.append(scaled[:head].reshape(groups, per_group, -1)
-                         .sum(axis=1, dtype=np.uint64))
+        lanes = view[:, start:stop].view(np.uint64).reshape(num_blocks, -1)
+        # One weight per lane keeps the multiply elementwise (a broadcast
+        # over a short innermost axis is several times slower).
+        chunk_weights = weights[:, start:stop]
+        if lanes_per_word > 1:
+            chunk_weights = np.repeat(chunk_weights, lanes_per_word, axis=1)
+        scaled = lanes * chunk_weights
+        if direct:
+            scaled.sum(axis=0, dtype=np.uint64,
+                       out=out[start:stop].view(np.uint64).reshape(-1))
+            continue
+        if single:
+            lane_sums = scaled.sum(axis=0, dtype=np.uint64)
+            out[start:stop] = lane_sums.view(np.uint8).reshape(
+                stop - start, word_bits)
+            continue
+        parts = [scaled[:head].reshape(groups, per_group, -1)
+                 .sum(axis=1, dtype=np.uint64)]
         if tail:
             parts.append(scaled[head:].sum(axis=0, dtype=np.uint64)[None])
         lane_sums = parts[0] if len(parts) == 1 else np.concatenate(parts)
         out[start:stop] = (lane_sums.view(np.uint8)
                            .reshape(len(lane_sums), stop - start, word_bits)
-                           .sum(axis=0, dtype=accumulator))
-    return out
+                           .sum(axis=0, dtype=widened))
 
 
 def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
@@ -315,9 +338,10 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
               and (weights.dtype.kind in "bu"
                    or (weights.dtype.kind == "i"
                        and (not weights.size or int(weights.min()) >= 0))))
-    if narrow and word_bits % 8 == 0 and view.strides[2] == 1:
-        return _byte_lane_sum(view, weights, max_value * weight_max)
     out = np.empty((words, word_bits), dtype=np.float64)
+    if narrow and word_bits % 8 == 0 and view.strides[2] == 1:
+        _byte_lane_sum(view, weights, max_value * weight_max, out)
+        return out
     chunk = max(64, _REDUCE_CHUNK_BYTES
                 // max(num_blocks * word_bits * view.dtype.itemsize, 1))
     if narrow and max_value * weight_max * num_blocks <= _UINT16_BUDGET:
@@ -525,7 +549,6 @@ class PackedBitTensor:
             yield row_slice, indexer
 
     def rows_sum(self, array: np.ndarray,
-                 weights: Optional[np.ndarray] = None,
                  max_value: Optional[int] = None) -> np.ndarray:
         """Reduce a per-block ``(B, W[, n])`` array into per-memory-row totals.
 
@@ -537,9 +560,37 @@ class PackedBitTensor:
         for row_slice, indexer in self.region_indexers():
             view = array[indexer]
             if view.shape[0]:
-                out[row_slice] = block_axis_sum(
-                    view, None if weights is None else weights[indexer],
-                    max_value=max_value)
+                out[row_slice] = block_axis_sum(view, max_value=max_value)
+        return out
+
+    def rows_bit_counts(self, weights: np.ndarray, weight_max: int) -> np.ndarray:
+        """Per-memory-row weighted counts of the '1' bits, exactly.
+
+        Row ``w`` of a region gets ``sum_b weights[b, w // k] * bits[b, w, :]``
+        over the region's blocks, where ``weights`` is a ``(B, W / k)``
+        array of non-negative integers at most ``weight_max``: one weight
+        per run of ``k`` consecutive words.  With byte-sized weights and a
+        word width divisible by 8 the counts come from the byte-lane
+        reduction, in the narrowest unsigned dtype that holds them;
+        otherwise they are float64 from :func:`block_axis_sum`.
+        """
+        runs = weights.shape[1]
+        width = self.words_per_block // runs * self.word_bits
+        lanes = self.word_bits % 8 == 0 and weight_max <= 255
+        bound = weight_max * int(np.bincount(self.regions).max())
+        out = np.zeros((self.geometry.rows, self.word_bits),
+                       dtype=_count_dtype(bound) if lanes else np.float64)
+        for row_slice, indexer in self.region_indexers():
+            view = self.bits[indexer]
+            if not view.shape[0]:
+                continue
+            view = view.reshape(view.shape[0], runs, width)
+            target = out[row_slice].reshape(runs, width)
+            if lanes:
+                _byte_lane_sum(view, weights[indexer], weight_max, target)
+            else:
+                target[...] = block_axis_sum(view, weights[indexer],
+                                             max_value=1)
         return out
 
     def rows_ones(self) -> np.ndarray:

@@ -880,6 +880,8 @@ class AgingSimulator:
         balancer = policy.controller.bias_balancer
         group = policy.words_per_enable
         num_groups = (words + group - 1) // group
+        whole_groups = (num_groups * group == words
+                        and int(packed.valid_words.min()) == words)
         valid = packed.valid_mask()
         ones = packed.rows_ones()
         writes = packed.rows_writes()
@@ -914,36 +916,44 @@ class AgingSimulator:
                     + rng.binomial(int(phase_count), 1.0 - bias, size=count))
             return group_enables
 
-        def residual(group_enables: np.ndarray, bound: int) -> np.ndarray:
+        def inversions(group_enables: np.ndarray, bound: int
+                       ) -> Tuple[np.ndarray, np.ndarray]:
             # An enabled write stores the inverted word, so a cell's ones
-            # count is ones * n + enables - 2 * crossed, where ``crossed``
-            # counts the enabled writes of a '1'.  The residual is linear in
-            # the enables (at most ``bound`` per group), so spans sharing a
-            # mapping reduce their summed enables in one pass; every entry is
-            # an exact integer in float64.
+            # count is ones * n + enables_total - 2 * crossed, where
+            # ``crossed`` counts the enabled writes of a '1'.  Both terms are
+            # linear in the enables (at most ``bound`` per group), so spans
+            # sharing a mapping reduce their summed enables in one pass, and
+            # both are exact integers.
             if bound <= 255:
                 group_enables = group_enables.astype(np.uint8, copy=False)
-            word_enables = np.repeat(group_enables, group, axis=1)[:, :words]
-            word_enables = word_enables * valid
-            enables_total = packed.rows_sum(word_enables, max_value=bound)
-            crossed = packed.rows_sum(packed.bits, weights=word_enables, max_value=1)
-            crossed *= -2.0
-            crossed += enables_total[:, None]
-            return crossed
+            if not whole_groups:
+                word_enables = np.repeat(group_enables, group, axis=1)[:, :words]
+                word_enables = word_enables * valid
+                return (packed.rows_sum(word_enables, max_value=bound),
+                        packed.rows_bit_counts(word_enables, bound))
+            # Whole blocks tiled by whole groups: weight each group's words
+            # at once, without expanding the enables word by word.
+            totals = np.zeros((packed.fifo_depth_tiles, num_groups))
+            for region, (_, indexer) in enumerate(packed.region_indexers()):
+                totals[region] = group_enables[indexer].sum(axis=0,
+                                                            dtype=np.int64)
+            return (np.repeat(totals.reshape(-1), group),
+                    packed.rows_bit_counts(group_enables, bound))
 
         def counts(start: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-            numerator = residual(draw(start, n), n)
-            numerator += ones * n
+            enables_total, crossed = inversions(draw(start, n), n)
+            numerator = ones * n + enables_total[:, None] - 2.0 * crossed
             return numerator, writes * n
 
-        # Batched form: the ``ones`` channel with coefficient n, plus one
-        # residual per distinct mapping.
+        # Batched form: the ``ones`` channel with coefficient n, plus the
+        # inversion counts of every distinct mapping.
         bases = [np.ascontiguousarray(ones, dtype=np.float64)]
         row_bases = [bases[0].sum(axis=1)]
         writes_base = np.ascontiguousarray(writes, dtype=np.float64)
 
         def residuals(starts: np.ndarray, lengths: np.ndarray,
-                      mappings: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+                      mappings: np.ndarray
+                      ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
             # Every span draws in table order with the same calls as
             # counts(start, n), so the RNG stream does not depend on the
             # grouping.  A mapping is reduced as soon as its last span is
@@ -963,7 +973,8 @@ class AgingSimulator:
                 else:
                     open_sums[label] = drawn
                 if last[label] == k:
-                    yield label, residual(open_sums.pop(label), bounds[label])
+                    yield (label,) + inversions(open_sums.pop(label),
+                                                bounds[label])
 
         def batch(starts: np.ndarray, lengths: np.ndarray,
                   mappings: np.ndarray) -> BatchedCounts:
@@ -989,15 +1000,22 @@ def _unbiased_binomial(rng: np.random.Generator, trials: int,
 
     For p = 1/2 a binomial sample is exactly the popcount of ``trials``
     uniform random bits, which numpy >= 2.0 computes ~40% faster than its
-    binomial sampler; older numpy falls back to the scalar-n binomial.
+    binomial sampler; older numpy falls back to the scalar-n binomial.  Up
+    to 64 trials take one word per sample and return its uint8 popcount.
     """
     if hasattr(np, "bitwise_count") and 0 < trials <= 512:
         full_words, tail_bits = divmod(trials, 64)
         draws = full_words + (1 if tail_bits else 0)
-        words = rng.integers(0, np.iinfo(np.uint64).max, size=size + (draws,),
+        words = rng.integers(0, np.iinfo(np.uint64).max,
+                             size=size if draws == 1 else size + (draws,),
                              dtype=np.uint64, endpoint=True)
         if tail_bits:
-            words[..., -1] &= np.uint64((1 << tail_bits) - 1)
+            if draws == 1:
+                words &= np.uint64((1 << tail_bits) - 1)
+            else:
+                words[..., -1] &= np.uint64((1 << tail_bits) - 1)
+        if draws == 1:
+            return np.bitwise_count(words)
         return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
     return rng.binomial(trials, 0.5, size=size)
 

@@ -13,11 +13,11 @@ of structure:
   *fixed* basis matrices with cheap per-span scalar coefficients
   (:class:`BatchedCounts`, built by the per-policy ``counts_batch`` closed
   forms), plus — for the stochastic DNN-Life kernel, whose TRBG draws are
-  fresh per span — one exact-integer *residual* matrix per distinct mapping,
+  fresh per span — exact-integer *inversion counts* per distinct mapping,
   reduced once from the enables of every span sharing that mapping.
   Composing the whole run then only needs the per-*mapping* totals of each
-  channel's coefficients and the per-mapping residuals, never a per-span
-  tensor.
+  channel's coefficients and the per-mapping inversion counts, never a
+  per-span tensor.
 * **Offset grouping** — schedule-driven levelers (rotation, start-gap) remap
   by per-region row rolls, so spans sharing a roll offset collapse into one
   weighted roll.  The weighted roll-sum itself is evaluated either as a few
@@ -30,8 +30,9 @@ instead; those compose through one fused sparse mat-vec over a ``(row,
 span)`` index matrix (SciPy's ``csr_matvecs`` when available, a per-span
 gather fallback otherwise), while the per-chunk feedback signal is maintained
 as ``(rows,)`` running row totals — never a full-matrix reduction.
-Residuals roll into place with two slice-adds (offset tables) or a row
-gather (permutation chunks) as soon as their mapping is complete.
+Inversion counts roll into place with two slice-adds (offset tables) or a
+row gather (permutation chunks) as soon as their mapping is complete, and
+turn into ones only once, in :meth:`SpanComposer.finalize`.
 
 Exactness: every basis entry, coefficient, and weight is an exact integer
 held in float64 (far below 2**53), so products and partial sums are exact and
@@ -72,10 +73,10 @@ class BatchedCounts:
     ``span_ones_k = sum_c coeffs[c, k] * bases[c]`` and ``span_writes_k =
     lengths[k] * writes`` reproduce the scalar ``counts(start, n)`` kernel
     exactly (same integers, hence the same float64 bits) — for a stochastic
-    kernel together with ``residuals``, which adds each mapping's residual
-    to the channels of the spans sharing it.  ``bases`` must be identical
-    objects across every ``counts_batch`` call of one kernel — the composer
-    folds coefficients across chunks under that identity.
+    kernel together with ``residuals``, which adds each mapping's inversion
+    counts to the channels of the spans sharing it.  ``bases`` must be
+    identical objects across every ``counts_batch`` call of one kernel — the
+    composer folds coefficients across chunks under that identity.
     """
 
     #: ``C`` fixed basis matrices, each ``(rows, word_bits)`` float64.
@@ -86,11 +87,15 @@ class BatchedCounts:
     writes: np.ndarray
     #: ``C`` cached ``bases[c].sum(axis=1)`` row reductions (feedback signal).
     row_bases: List[np.ndarray]
-    #: Optional ``(mapping label, (rows, word_bits) float64 residual)`` pairs,
-    #: one per distinct mapping label of the batch, holding exact integers.
-    #: The iterator may draw randomness lazily, so it is consumed exactly
-    #: once, by :meth:`SpanComposer.add_table`, before the next batch is built.
-    residuals: Optional[Iterator[Tuple[int, np.ndarray]]] = None
+    #: Optional ``(mapping label, enables_total, crossed)`` triples, one per
+    #: distinct mapping label of the batch: the mapping's spans add
+    #: ``enables_total[:, None] - 2 * crossed`` ones on top of the channels
+    #: (an enabled write inverts the stored word).  ``enables_total`` is a
+    #: ``(rows,)`` and ``crossed`` a ``(rows, word_bits)`` array of exact
+    #: integers, of any numeric dtype.  The iterator may draw randomness
+    #: lazily, so it is consumed exactly once, by
+    #: :meth:`SpanComposer.add_table`, before the next batch is built.
+    residuals: Optional[Iterator[Tuple[int, np.ndarray, np.ndarray]]] = None
 
 
 def _roll_axpy(out3: np.ndarray, base3: np.ndarray, offset: int,
@@ -225,8 +230,10 @@ class SpanComposer:
         self._perm_inverses: List[np.ndarray] = []
         self._perm_coeffs: List[np.ndarray] = []
         self._perm_lengths: List[float] = []
-        #: Physical sum of every mapping's residual (allocated on first use).
-        self._residual: Optional[np.ndarray] = None
+        #: Physical sums of every mapping's inversion counts: enables per
+        #: row and crossed per cell (allocated on first use).
+        self._enables: Optional[np.ndarray] = None
+        self._crossed: Optional[np.ndarray] = None
         self._track = bool(track_feedback)
         self._row_ones = (np.zeros(self.rows, dtype=np.float64)
                           if self._track else None)
@@ -258,9 +265,11 @@ class SpanComposer:
                 (table.offsets, batched.coeffs, table.lengths))
             if batched.residuals is not None:
                 shape = (self.rows // self.region_rows, self.region_rows, -1)
-                total3 = self._residual_sum().reshape(shape)
-                for offset, residual in batched.residuals:
-                    _roll_axpy(total3, residual.reshape(shape), offset, 1.0)
+                enables3, crossed3 = (acc.reshape(shape)
+                                      for acc in self._inversion_sums())
+                for offset, enables, crossed in batched.residuals:
+                    _roll_axpy(enables3, enables.reshape(shape), offset, 1.0)
+                    _roll_axpy(crossed3, crossed.reshape(shape), offset, 1.0)
             return
         if self._identity32 is None:
             self._identity32 = np.arange(self.rows, dtype=np.int32)
@@ -286,19 +295,23 @@ class SpanComposer:
                 self._row_ones += gathered
                 self._row_writes += length * self._writes_base[inverse]
         if batched.residuals is not None:
-            total = self._residual_sum()
-            for span, residual in batched.residuals:
+            enables_sum, crossed_sum = self._inversion_sums()
+            for span, enables, crossed in batched.residuals:
                 inverse = inverses[span]
-                total += residual[inverse]
+                enables_sum += enables[inverse]
+                crossed_sum += crossed[inverse]
                 if self._track:
-                    self._row_ones += residual.sum(axis=1)[inverse]
+                    row_crossed = crossed.sum(axis=1, dtype=np.float64)
+                    self._row_ones += (self.word_bits * enables
+                                       - 2.0 * row_crossed)[inverse]
 
-    def _residual_sum(self) -> np.ndarray:
-        """The physical residual accumulator (also ``finalize``'s base)."""
-        if self._residual is None:
-            self._residual = np.zeros((self.rows, self.word_bits),
-                                      dtype=np.float64)
-        return self._residual
+    def _inversion_sums(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The physical ``(enables, crossed)`` accumulators."""
+        if self._enables is None:
+            self._enables = np.zeros(self.rows, dtype=np.float64)
+            self._crossed = np.zeros((self.rows, self.word_bits),
+                                     dtype=np.float64)
+        return self._enables, self._crossed
 
     def row_totals(self) -> Tuple[np.ndarray, np.ndarray]:
         """Running physical ``(row_ones, row_writes)`` totals (feedback)."""
@@ -308,8 +321,14 @@ class SpanComposer:
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialise the composed physical ``(ones, writes)`` counts."""
-        ones = self._residual_sum()
-        self._residual = None
+        if self._enables is None:
+            ones = np.zeros((self.rows, self.word_bits), dtype=np.float64)
+        else:
+            # enables - 2 * crossed, in place on the crossed accumulator.
+            ones = self._crossed
+            ones *= -2.0
+            ones += self._enables[:, None]
+            self._enables = self._crossed = None
         writes = np.zeros(self.rows, dtype=np.float64)
         if self._bases is None:  # no spans at all
             return ones, writes

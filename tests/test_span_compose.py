@@ -26,13 +26,18 @@ from hypothesis import strategies as st
 import repro.core.span_compose as span_compose
 from repro.bench.aging_bench import BenchCase, _policy_for
 from repro.core.policies import make_policy
-from repro.core.simulation import AgingSimulator, ExplicitAgingSimulator
+from repro.accelerator.scheduler import WeightStreamScheduler
+from repro.core.simulation import (
+    AgingSimulator,
+    ExplicitAgingSimulator,
+    _duty_from_counts,
+)
 from repro.leveling import (
     make_leveler,
     set_span_validation,
     span_validation_enabled,
 )
-from repro.leveling.remap import _check_span_tiling
+from repro.leveling.remap import _check_span_tiling, mean_duty_per_row
 from repro.memory.geometry import MemoryGeometry
 from repro.scenario import LifetimeScenario, Phase, ScenarioAgingSimulator
 from repro.utils.units import KB
@@ -353,6 +358,80 @@ class TestGoldenPayloads:
             seed=0, leveler=leveler).run()
         assert any(entry is not None for entry in result.phase_retention)
         assert _payload_sha(result.to_payload()) == GOLDEN_DNN_LIFE_SCENARIO_SHA
+
+
+def _per_span_walk(stream, policy, num_inferences, leveler, seed):
+    """The per-span composition the batched engine replaced, as an oracle.
+
+    One ``counts(start, n)`` call per constant-mapping span, in span order
+    (so the TRBG draws come out of the same RNG stream), scattered into the
+    span's physical rows; feedback levelers observe the full count matrix.
+    """
+    kernel = AgingSimulator(stream, policy, num_inferences=num_inferences,
+                            seed=seed).counts_kernel()
+    rows, word_bits = stream.geometry.rows, stream.geometry.word_bits
+    ones = np.zeros((rows, word_bits))
+    writes = np.zeros(rows)
+    leveler.reset()
+    for start, length in leveler.spans(num_inferences):
+        permutation = leveler.permutation(start)
+        span_ones, span_writes = kernel(start, length)
+        ones[permutation] += span_ones
+        writes[permutation] += span_writes
+        if leveler.uses_feedback:
+            leveler.observe(start + length,
+                            mean_duty_per_row(ones, writes * float(word_bits)))
+    return _duty_from_counts(ones, writes)
+
+
+class TestBatchedDnnLifeMatchesPerSpanWalk:
+    """Batched DNN-Life == the per-span walk, on every stream shape.
+
+    Whole padded blocks tiled by whole enable groups take the group-weighted
+    reduction; a short final block, or groups that do not tile a block,
+    take the word-level one.
+    """
+
+    @staticmethod
+    def _stream(kind, tiny_network):
+        if kind == "synthetic":
+            return _golden_8kb_case().build_stream(seed=0)
+        return WeightStreamScheduler(
+            tiny_network, "int8_symmetric",
+            MemoryGeometry(capacity_bytes=512, word_bits=8),
+            parallel_filters=4, fifo_depth_tiles=2, pad_final_block=False)
+
+    @pytest.mark.parametrize("kind,options", [
+        ("synthetic", {}),
+        ("synthetic", {"trbg_bias": 0.7, "bias_balancing": True}),
+        ("synthetic", {"words_per_enable": 3}),
+        ("unpadded", {}),
+        ("unpadded", {"trbg_bias": 0.7, "bias_balancing": True}),
+    ])
+    @pytest.mark.parametrize("leveler_name,leveler_options", [
+        ("rotation", {"period": 3, "step": 5}),
+        ("start_gap", {"interval": 2}),
+        ("wear_swap", {"interval": 2, "swap_fraction": 0.25}),
+    ], ids=lambda v: str(v))
+    def test_bitwise_equal(self, tiny_network, kind, options, leveler_name,
+                           leveler_options):
+        stream = self._stream(kind, tiny_network)
+        if kind == "unpadded":
+            blocks = list(stream.iter_blocks())
+            assert blocks[-1].num_words < stream.words_per_block
+        tiles = stream.fifo_depth_tiles
+
+        def build():
+            return make_leveler(leveler_name, stream.geometry, tiles,
+                                **leveler_options)
+
+        def policy():
+            return make_policy("dnn_life", 8, seed=0, **options)
+
+        batched = AgingSimulator(stream, policy(), num_inferences=11, seed=3,
+                                 leveler=build()).run()
+        walked = _per_span_walk(stream, policy(), 11, build(), seed=3)
+        assert np.array_equal(batched.duty_cycles, walked)
 
 
 class TestBatchedMatchesExplicit:
