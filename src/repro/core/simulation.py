@@ -97,7 +97,7 @@ class PackedSpanKernel:
     point of the fused leveling composition
     (:class:`~repro.core.span_compose.SpanComposer`): fixed basis matrices
     with per-span scalar coefficients, plus — for DNN-Life, whose TRBG draws
-    fresh randomness per span in call order — one exact residual per
+    fresh randomness per span in call order — exact inversion counts per
     distinct mapping.
     """
 

@@ -8,9 +8,9 @@ within one inference epoch and may change between epochs, which is exactly
 the granularity both simulation paths consume it at:
 
 * the fast packed engine (:class:`repro.core.simulation.AgingSimulator`)
-  splits the inference range into :meth:`WearLeveler.spans` of constant
-  mapping, evaluates each span's closed-form duty counts once, and gathers
-  the logical counts into physical rows through the span's permutation;
+  splits the inference range into :class:`SpanTable` batches of
+  constant-mapping spans and composes every policy's closed-form counts
+  into physical rows per mapping (:mod:`repro.core.span_compose`);
 * the explicit paths (:class:`repro.core.simulation.ExplicitAgingSimulator`
   and :meth:`repro.memory.trace.WriteTrace.replay`) query
   :meth:`WearLeveler.permutation` every epoch and route each block write

@@ -27,8 +27,8 @@ one shared contract:
 
 The fast driver evaluates each active phase through the policy's closed-form
 ``counts(start, n)`` kernel (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`)
-— one kernel build per phase, one cheap combination per leveling span, never
-a per-block Python loop.  The explicit engine replays every phase write by
+— one kernel build per phase, its batched form composed over the leveler's
+span tables, never a per-block Python loop.  The explicit engine replays every phase write by
 write via :func:`repro.core.simulation.replay_inference`; for deterministic
 policies the two agree bit-for-bit, and a degenerate single-phase scenario at
 the reference temperature reproduces :class:`~repro.core.simulation.AgingSimulator`
@@ -541,8 +541,9 @@ class ScenarioAgingSimulator(_ScenarioEngineBase):
     Per active phase, one :class:`~repro.core.simulation.AgingSimulator` is
     built on the phase's (cached) stream and its
     :meth:`~repro.core.simulation.AgingSimulator.counts_kernel` evaluated —
-    once for the whole phase without a leveler, or once per constant-mapping
-    leveling span with one.  Kernel ``start`` arguments are phase-local
+    once for the whole phase without a leveler, or through its batched form
+    over the phase's leveling span tables with one.  Kernel ``start``
+    arguments are phase-local
     (policy state resets at boundaries) while leveler permutations are
     addressed by the global active-epoch cursor (remap state persists).
     """
