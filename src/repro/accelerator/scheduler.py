@@ -258,8 +258,7 @@ def _byte_lane_sum(view: np.ndarray, weights: np.ndarray, product_max: int,
     per_group = 255 // product_max
     groups, tail = divmod(num_blocks, per_group)
     head = groups * per_group
-    single = head == 0
-    direct = single and out.dtype == np.uint8 and out.flags.c_contiguous
+    direct = head == 0 and out.dtype == np.uint8 and out.flags.c_contiguous
     widened = _count_dtype(product_max * num_blocks)
     weights = weights.astype(np.uint8, copy=False)
     lanes_per_word = word_bits // 8
@@ -277,16 +276,11 @@ def _byte_lane_sum(view: np.ndarray, weights: np.ndarray, product_max: int,
             scaled.sum(axis=0, dtype=np.uint64,
                        out=out[start:stop].view(np.uint64).reshape(-1))
             continue
-        if single:
-            lane_sums = scaled.sum(axis=0, dtype=np.uint64)
-            out[start:stop] = lane_sums.view(np.uint8).reshape(
-                stop - start, word_bits)
-            continue
-        parts = [scaled[:head].reshape(groups, per_group, -1)
-                 .sum(axis=1, dtype=np.uint64)]
+        lane_sums = (scaled[:head].reshape(groups, per_group, scaled.shape[1])
+                     .sum(axis=1, dtype=np.uint64))
         if tail:
-            parts.append(scaled[head:].sum(axis=0, dtype=np.uint64)[None])
-        lane_sums = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            lane_sums = np.concatenate(
+                [lane_sums, scaled[head:].sum(axis=0, dtype=np.uint64)[None]])
         out[start:stop] = (lane_sums.view(np.uint8)
                            .reshape(len(lane_sums), stop - start, word_bits)
                            .sum(axis=0, dtype=widened))

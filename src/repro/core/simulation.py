@@ -109,18 +109,17 @@ class PackedSpanKernel:
         return self._counts(start, n)
 
     def counts_batch(self, starts: np.ndarray, lengths: np.ndarray,
-                     mappings: Optional[np.ndarray] = None) -> BatchedCounts:
+                     mappings: np.ndarray) -> BatchedCounts:
         """Per-span counts decomposition over a whole span table.
 
-        ``mappings`` labels each span's row map (see
-        :meth:`~repro.leveling.remap.SpanTable.mapping_ids`); by default
-        every span has its own.
+        ``mappings`` labels each span's row map
+        (:meth:`~repro.leveling.remap.SpanTable.mapping_ids`).
         """
-        starts = np.asarray(starts, dtype=np.int64).reshape(-1)
-        lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
-        mappings = (np.arange(starts.size, dtype=np.int64) if mappings is None
-                    else np.asarray(mappings, dtype=np.int64).reshape(-1))
-        return self._batch(starts, lengths, mappings)
+        def as_int64(values: np.ndarray) -> np.ndarray:
+            return np.asarray(values, dtype=np.int64).reshape(-1)
+
+        return self._batch(as_int64(starts), as_int64(lengths),
+                           as_int64(mappings))
 
 
 # --------------------------------------------------------------------------- #
@@ -568,10 +567,10 @@ class AgingSimulator:
         per-logical-cell ones numerator and per-row write denominator
         accumulated over inferences ``[start, start + n)``, and exposing the
         batched :meth:`PackedSpanKernel.counts_batch` decomposition over
-        whole span tables.  The heavy tensor reductions happen once in the factory; each
-        call is a cheap combination, which is what lets the leveling driver
-        evaluate many constant-mapping spans without re-reducing the packed
-        tensor.
+        whole span tables.  The heavy tensor reductions happen once in the
+        factory; each call is a cheap combination, which is what lets the
+        leveling driver evaluate many constant-mapping spans without
+        re-reducing the packed tensor.
         """
         if isinstance(policy, NoMitigationPolicy):
             return self._packed_no_mitigation_kernel()
@@ -1006,17 +1005,14 @@ def _unbiased_binomial(rng: np.random.Generator, trials: int,
     if hasattr(np, "bitwise_count") and 0 < trials <= 512:
         full_words, tail_bits = divmod(trials, 64)
         draws = full_words + (1 if tail_bits else 0)
-        words = rng.integers(0, np.iinfo(np.uint64).max,
-                             size=size if draws == 1 else size + (draws,),
+        words = rng.integers(0, np.iinfo(np.uint64).max, size=size + (draws,),
                              dtype=np.uint64, endpoint=True)
         if tail_bits:
-            if draws == 1:
-                words &= np.uint64((1 << tail_bits) - 1)
-            else:
-                words[..., -1] &= np.uint64((1 << tail_bits) - 1)
+            words[..., -1] &= np.uint64((1 << tail_bits) - 1)
+        counts = np.bitwise_count(words)
         if draws == 1:
-            return np.bitwise_count(words)
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+            return counts[..., 0]
+        return counts.sum(axis=-1, dtype=np.int64)
     return rng.binomial(trials, 0.5, size=size)
 
 

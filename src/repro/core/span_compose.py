@@ -230,10 +230,9 @@ class SpanComposer:
         self._perm_inverses: List[np.ndarray] = []
         self._perm_coeffs: List[np.ndarray] = []
         self._perm_lengths: List[float] = []
-        #: Physical sums of every mapping's inversion counts: enables per
-        #: row and crossed per cell (allocated on first use).
-        self._enables: Optional[np.ndarray] = None
-        self._crossed: Optional[np.ndarray] = None
+        #: Physical sums of every mapping's inversion counts: ``(enables``
+        #: per row, ``crossed`` per cell), allocated on first use.
+        self._inversions: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._track = bool(track_feedback)
         self._row_ones = (np.zeros(self.rows, dtype=np.float64)
                           if self._track else None)
@@ -298,20 +297,23 @@ class SpanComposer:
             enables_sum, crossed_sum = self._inversion_sums()
             for span, enables, crossed in batched.residuals:
                 inverse = inverses[span]
-                enables_sum += enables[inverse]
-                crossed_sum += crossed[inverse]
+                enables_sum += np.take(enables, inverse)
+                crossed_sum += np.take(crossed, inverse, axis=0)
                 if self._track:
-                    row_crossed = crossed.sum(axis=1, dtype=np.float64)
-                    self._row_ones += (self.word_bits * enables
-                                       - 2.0 * row_crossed)[inverse]
+                    # Column by column: numpy reduces a short last axis
+                    # several times slower.
+                    row_ones = self.word_bits * enables
+                    for column in crossed.T:
+                        row_ones -= 2.0 * column
+                    self._row_ones += np.take(row_ones, inverse)
 
     def _inversion_sums(self) -> Tuple[np.ndarray, np.ndarray]:
         """The physical ``(enables, crossed)`` accumulators."""
-        if self._enables is None:
-            self._enables = np.zeros(self.rows, dtype=np.float64)
-            self._crossed = np.zeros((self.rows, self.word_bits),
-                                     dtype=np.float64)
-        return self._enables, self._crossed
+        if self._inversions is None:
+            self._inversions = (np.zeros(self.rows, dtype=np.float64),
+                                np.zeros((self.rows, self.word_bits),
+                                         dtype=np.float64))
+        return self._inversions
 
     def row_totals(self) -> Tuple[np.ndarray, np.ndarray]:
         """Running physical ``(row_ones, row_writes)`` totals (feedback)."""
@@ -321,14 +323,14 @@ class SpanComposer:
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Materialise the composed physical ``(ones, writes)`` counts."""
-        if self._enables is None:
+        if self._inversions is None:
             ones = np.zeros((self.rows, self.word_bits), dtype=np.float64)
         else:
             # enables - 2 * crossed, in place on the crossed accumulator.
-            ones = self._crossed
+            enables, ones = self._inversions
             ones *= -2.0
-            ones += self._enables[:, None]
-            self._enables = self._crossed = None
+            ones += enables[:, None]
+            self._inversions = None
         writes = np.zeros(self.rows, dtype=np.float64)
         if self._bases is None:  # no spans at all
             return ones, writes
