@@ -287,7 +287,8 @@ def _byte_lane_sum(view: np.ndarray, weights: np.ndarray, product_max: int,
 
 
 def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
-                   max_value: Optional[int] = None) -> np.ndarray:
+                   max_value: Optional[int] = None,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum a ``(B, ...)`` array over its block axis, cache-friendly and exact.
 
     The reduction runs in column chunks so each chunk's accumulator fits in
@@ -301,7 +302,8 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
     whose word width is a multiple of 8, with non-negative integer weights
     whose products with ``max_value`` fit a byte, takes the byte-lane path
     (:func:`_byte_lane_sum`).  All supported inputs are integral, so the
-    float64 result is exact.
+    float64 result is exact.  A weighted ``(B, W, n)`` reduction writes into
+    ``out`` when given: a ``(W, n)`` array of any dtype that holds the sums.
     """
     num_blocks = view.shape[0]
     if max_value is None and view.dtype == np.bool_:
@@ -332,7 +334,8 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
               and (weights.dtype.kind in "bu"
                    or (weights.dtype.kind == "i"
                        and (not weights.size or int(weights.min()) >= 0))))
-    out = np.empty((words, word_bits), dtype=np.float64)
+    if out is None:
+        out = np.empty((words, word_bits), dtype=np.float64)
     if narrow and word_bits % 8 == 0 and view.strides[2] == 1:
         _byte_lane_sum(view, weights, max_value * weight_max, out)
         return out
@@ -563,28 +566,21 @@ class PackedBitTensor:
         Row ``w`` of a region gets ``sum_b weights[b, w // k] * bits[b, w, :]``
         over the region's blocks, where ``weights`` is a ``(B, W / k)``
         array of non-negative integers at most ``weight_max``: one weight
-        per run of ``k`` consecutive words.  With byte-sized weights and a
-        word width divisible by 8 the counts come from the byte-lane
-        reduction, in the narrowest unsigned dtype that holds them;
-        otherwise they are float64 from :func:`block_axis_sum`.
+        per run of ``k`` consecutive words.  The counts come back in the
+        narrowest unsigned dtype that holds them, which the byte-lane path
+        of :func:`block_axis_sum` fills directly.
         """
         runs = weights.shape[1]
         width = self.words_per_block // runs * self.word_bits
-        lanes = self.word_bits % 8 == 0 and weight_max <= 255
         bound = weight_max * int(np.bincount(self.regions).max())
         out = np.zeros((self.geometry.rows, self.word_bits),
-                       dtype=_count_dtype(bound) if lanes else np.float64)
+                       dtype=_count_dtype(bound))
         for row_slice, indexer in self.region_indexers():
             view = self.bits[indexer]
-            if not view.shape[0]:
-                continue
-            view = view.reshape(view.shape[0], runs, width)
-            target = out[row_slice].reshape(runs, width)
-            if lanes:
-                _byte_lane_sum(view, weights[indexer], weight_max, target)
-            else:
-                target[...] = block_axis_sum(view, weights[indexer],
-                                             max_value=1)
+            if view.shape[0]:
+                block_axis_sum(view.reshape(view.shape[0], runs, width),
+                               weights[indexer], max_value=1,
+                               out=out[row_slice].reshape(runs, width))
         return out
 
     def rows_ones(self) -> np.ndarray:

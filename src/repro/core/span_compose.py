@@ -103,13 +103,12 @@ def _roll_axpy(out3: np.ndarray, base3: np.ndarray, offset: int,
     """``out3[g, j] += weight * base3[g, (j - offset) % R]`` via two slices."""
     region_rows = base3.shape[1]
     offset = int(offset) % region_rows
-    if weight != 1.0:
-        base3 = weight * base3
     if offset == 0:
-        out3 += base3
+        out3 += base3 if weight == 1.0 else weight * base3
         return
-    out3[:, offset:] += base3[:, :region_rows - offset]
-    out3[:, :offset] += base3[:, region_rows - offset:]
+    head, tail = base3[:, :region_rows - offset], base3[:, region_rows - offset:]
+    out3[:, offset:] += head if weight == 1.0 else weight * head
+    out3[:, :offset] += tail if weight == 1.0 else weight * tail
 
 
 def _window_axpy(out3: np.ndarray, base3: np.ndarray, weight: float,
