@@ -229,8 +229,8 @@ class SpanComposer:
         self._perm_inverses: List[np.ndarray] = []
         self._perm_coeffs: List[np.ndarray] = []
         self._perm_lengths: List[float] = []
-        #: Physical sums of every mapping's inversion counts: ``(enables``
-        #: per row, ``crossed`` per cell), allocated on first use.
+        #: Physical sums of every mapping's inversion counts,
+        #: ``(enables per row, crossed per cell)``; allocated on first use.
         self._inversions: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._track = bool(track_feedback)
         self._row_ones = (np.zeros(self.rows, dtype=np.float64)

@@ -28,8 +28,9 @@ one shared contract:
 The fast driver evaluates each active phase through the policy's closed-form
 ``counts(start, n)`` kernel (:meth:`repro.core.simulation.AgingSimulator.counts_kernel`)
 — one kernel build per phase, its batched form composed over the leveler's
-span tables, never a per-block Python loop.  The explicit engine replays every phase write by
-write via :func:`repro.core.simulation.replay_inference`; for deterministic
+span tables, never a per-block Python loop.  The explicit engine replays
+every phase write by write via
+:func:`repro.core.simulation.replay_inference`; for deterministic
 policies the two agree bit-for-bit, and a degenerate single-phase scenario at
 the reference temperature reproduces :class:`~repro.core.simulation.AgingSimulator`
 exactly.
