@@ -219,7 +219,7 @@ def _extract_block_words(layer: Layer, layer_words: np.ndarray,
 _REDUCE_CHUNK_BYTES = 1 << 22
 
 #: Headroom kept below the uint16 ceiling when picking the SIMD-friendly
-#: small-integer accumulator for weighted block reductions.
+#: small-integer accumulator for unweighted block reductions.
 _UINT16_BUDGET = 60_000
 
 #: Column-chunk budget (bytes of source data per chunk) of the byte-lane
@@ -292,16 +292,17 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
     """Sum a ``(B, ...)`` array over its block axis, cache-friendly and exact.
 
     The reduction runs in column chunks so each chunk's accumulator fits in
-    cache, and accumulates in uint16 where the value range *provably* allows
-    it (numpy vectorizes uint8→uint16 adds ~3x better than widening to
-    int64).  ``max_value`` is the caller's bound on the entries of ``view``
-    — bool data is implicitly bounded by 1; anything else keeps the wide
-    accumulator unless a bound is declared, so an unknown value range can
-    never overflow silently.  ``weights`` (shape ``(B, W)``, optional)
-    scales each block word before the reduction.  A ``uint8`` bit tensor
-    whose word width is a multiple of 8, with non-negative integer weights
-    whose products with ``max_value`` fit a byte, takes the byte-lane path
-    (:func:`_byte_lane_sum`).  All supported inputs are integral, so the
+    cache.  Unweighted, it accumulates in uint16 where the value range
+    *provably* allows it (numpy vectorizes uint8→uint16 adds ~3x better
+    than widening to int64).  ``max_value`` is the caller's bound on the
+    entries of ``view`` — bool data is implicitly bounded by 1; anything
+    else keeps the wide accumulator unless a bound is declared, so an
+    unknown value range can never overflow silently.  ``weights`` (shape
+    ``(B, W)``, optional) scales each block word before the reduction.  A
+    ``uint8`` bit tensor whose word width is a multiple of 8, with
+    non-negative integer weights whose products with ``max_value`` fit a
+    byte, takes the byte-lane path (:func:`_byte_lane_sum`); other weighted
+    ones a float64 ``einsum``.  All supported inputs are integral, so the
     float64 result is exact.  A weighted ``(B, W, n)`` reduction writes into
     ``out`` when given: a ``(W, n)`` array of any dtype that holds the sums.
     """
@@ -328,7 +329,7 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
     words, word_bits = view.shape[1], view.shape[2]
     weight_max = int(weights.max()) if weights.size else 0
     # Products of a uint8 cell and a non-negative integer weight that
-    # provably fit a byte allow the narrow paths; anything else widens.
+    # provably fit a byte allow the byte-lane path; anything else widens.
     narrow = (view.dtype == np.uint8 and max_value is not None
               and max_value * weight_max <= 255
               and (weights.dtype.kind in "bu"
@@ -341,18 +342,11 @@ def block_axis_sum(view: np.ndarray, weights: Optional[np.ndarray] = None,
         return out
     chunk = max(64, _REDUCE_CHUNK_BYTES
                 // max(num_blocks * word_bits * view.dtype.itemsize, 1))
-    if narrow and max_value * weight_max * num_blocks <= _UINT16_BUDGET:
-        weights = weights.astype(np.uint8, copy=False)
-        for start in range(0, words, chunk):
-            stop = min(start + chunk, words)
-            scaled = view[:, start:stop] * weights[:, start:stop, None]
-            out[start:stop] = scaled.sum(axis=0, dtype=np.uint16)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        for start in range(0, words, chunk):
-            stop = min(start + chunk, words)
-            out[start:stop] = np.einsum("bwn,bw->wn", view[:, start:stop],
-                                        weights[:, start:stop])
+    weights = np.asarray(weights, dtype=np.float64)
+    for start in range(0, words, chunk):
+        stop = min(start + chunk, words)
+        out[start:stop] = np.einsum("bwn,bw->wn", view[:, start:stop],
+                                    weights[:, start:stop])
     return out
 
 

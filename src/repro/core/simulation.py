@@ -965,8 +965,10 @@ class AgingSimulator:
             open_sums: Dict[int, np.ndarray] = {}
             for k, label in enumerate(labels):
                 drawn = draw(int(starts[k]), int(lengths[k]))
-                if bounds[label] <= 255:
-                    drawn = drawn.astype(np.uint8, copy=False)
+                # The accumulator must hold the mapping's total: short spans
+                # draw uint8 enables even when the total exceeds a byte.
+                drawn = drawn.astype(
+                    np.uint8 if bounds[label] <= 255 else np.int64, copy=False)
                 if label in open_sums:
                     open_sums[label] += drawn
                 else:

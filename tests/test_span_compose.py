@@ -433,6 +433,25 @@ class TestBatchedDnnLifeMatchesPerSpanWalk:
         walked = _per_span_walk(stream, policy(), 11, build(), seed=3)
         assert np.array_equal(batched.duty_cycles, walked)
 
+    @pytest.mark.parametrize("kind", ["synthetic", "unpadded"])
+    def test_mapping_totals_above_a_byte(self, tiny_network, kind):
+        """Single-inference spans draw byte-wide enables; each mapping of
+        rotation(2) sums ~600 of them (~300 per group) and must not wrap."""
+        stream = self._stream(kind, tiny_network)
+        tiles = stream.fifo_depth_tiles
+
+        def build():
+            return make_leveler("rotation", stream.geometry, tiles,
+                                period=2, step=1)
+
+        def policy():
+            return make_policy("dnn_life", 8, seed=0)
+
+        batched = AgingSimulator(stream, policy(), num_inferences=1200, seed=3,
+                                 leveler=build()).run()
+        walked = _per_span_walk(stream, policy(), 1200, build(), seed=3)
+        assert np.array_equal(batched.duty_cycles, walked)
+
 
 class TestBatchedMatchesExplicit:
     """Live cross-check: fused composition vs the write-by-write replay.
